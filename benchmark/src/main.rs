@@ -11,8 +11,11 @@
 //! in a child process of its own, so set-up time and peak memory are per
 //! workload. `--trace 0` reports the end-to-end metrics; `--trace 1` is the
 //! separate traced run that reports the per-layer metrics and writes its
-//! spans to `.bench_out/`. See README.md for what each metric means.
+//! spans to `.bench_out/`. Every reported time is read from a
+//! [`clock::RefClock`], which corrects CPU or wall time for the host's
+//! speed. See README.md for what each metric means.
 
+mod clock;
 mod compare;
 mod json;
 mod replay;
@@ -22,19 +25,17 @@ mod stats;
 mod trace;
 mod train;
 
+use clock::{Base, RefClock};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
 pub const WORKLOADS: [&str; 4] =
     ["serve_single", "serve_multitask_drift", "capture_replay", "train"];
 
-/// An untraced run sets up at least this many times, and until this much
-/// time has passed; `setup_s` is the median. A set-up of a few
-/// milliseconds is timed dozens of times, so its median stays steady.
+/// An untraced run sets up this many times and reports the median as
+/// `setup_s`, so one slow set-up does not move it.
 const SETUP_REPS: usize = 3;
-const SETUP_MIN_S: f64 = 1.0;
 
 /// Where runs write spans and scratch files, relative to the working
 /// directory.
@@ -56,6 +57,7 @@ pub const END_TO_END: &[MetricDef] = &[
     m("latency_p50_ms", "ms"),
     m("latency_p99_ms", "ms"),
     m("goodput_frac", "ratio"),
+    m("answered_frac", "ratio"),
     m("peak_rss_mb", "MB"),
 ];
 
@@ -86,7 +88,6 @@ pub const PER_LAYER: &[MetricDef] = &[
     m("serve.shed_frac", "ratio"),
     m("serve.fallback_frac", "ratio"),
     m("serve.deadline_miss_frac", "ratio"),
-    m("serve.error_frac", "ratio"),
     m("serve.residual_ns_per_request", "ns"),
     m("fanout.encoder_rows_per_head_row", "ratio"),
     m("fanout.lane_offers_per_request", "count"),
@@ -109,6 +110,8 @@ pub const PER_LAYER: &[MetricDef] = &[
     m("trace.coverage", "ratio"),
     m("trace.overhead_frac", "ratio"),
     m("trace.spans", "count"),
+    m("host.slowdown", "ratio"),
+    m("host.off_cpu_frac", "ratio"),
 ];
 
 pub struct Ctx {
@@ -167,38 +170,32 @@ pub fn ratio(a: f64, b: f64) -> f64 {
     }
 }
 
-/// Build the workload's state repeatedly (`SETUP_REPS`, `SETUP_MIN_S`;
-/// once in a traced run), recording the median wall time as `setup_s` and
-/// failing the run unless every build fingerprints identically.
-pub fn setup<T, F: PartialEq>(
+/// Build the workload's state `SETUP_REPS` times (once in a traced run)
+/// and record the median reference time as `setup_s`. `build` lets the
+/// clock probe between its steps. Each build is freed before the next
+/// starts, so no two are ever alive at once.
+pub fn setup<T>(
     ctx: &Ctx,
+    clock: &mut RefClock,
     rep: &mut Report,
-    build: impl Fn() -> Result<T, String>,
-    fingerprint: impl Fn(&T) -> F,
+    build: impl Fn(&mut RefClock) -> Result<T, String>,
 ) -> Option<T> {
-    let (min_reps, min_s) = if ctx.trace { (1, 0.0) } else { (SETUP_REPS, SETUP_MIN_S) };
-    let mut times: Vec<f64> = Vec::new();
-    let mut first: Option<F> = None;
+    let reps = if ctx.trace { 1 } else { SETUP_REPS };
+    let mut times = Vec::with_capacity(reps);
     let mut built = None;
-    while times.len() < min_reps || times.iter().sum::<f64>() < min_s {
-        // Free the previous build first, so no two are ever alive at once.
+    for _ in 0..reps {
         drop(built.take());
-        let t = Instant::now();
-        let state = match build() {
-            Ok(v) => v,
+        clock.tick();
+        let t = clock.now();
+        let state = build(clock);
+        times.push((clock.now() - t) as f64 / 1e9);
+        match state {
+            Ok(v) => built = Some(v),
             Err(e) => {
                 rep.failures.push(format!("set-up failed: {e}"));
                 return None;
             }
-        };
-        times.push(t.elapsed().as_secs_f64());
-        let fp = fingerprint(&state);
-        match &first {
-            None => first = Some(fp),
-            Some(f) => rep
-                .check(*f == fp, || "two set-ups with the same seed built different models".into()),
         }
-        built = Some(state);
     }
     rep.set("setup_s", stats::median(&times));
     built
@@ -218,6 +215,16 @@ fn worker_threads(workload: &str) -> usize {
     }
 }
 
+/// What a workload's reference clock corrects: CPU time where one thread
+/// does the work, wall time where the worker pool runs.
+fn clock_base(workload: &str) -> Base {
+    if worker_threads(workload) == 1 {
+        Base::Cpu
+    } else {
+        Base::Wall
+    }
+}
+
 /// Peak resident set size (`VmHWM`) of this process, in MiB.
 fn peak_rss_mb() -> Option<f64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
@@ -228,12 +235,22 @@ fn peak_rss_mb() -> Option<f64> {
 
 fn run_workload(ctx: &Ctx) -> Report {
     nfm_tensor::pool::set_threads(worker_threads(ctx.workload));
+    let mut clock = RefClock::new(clock_base(ctx.workload));
     let mut rep = match ctx.workload {
-        "serve_single" => serve::run(ctx, &serve::SINGLE),
-        "serve_multitask_drift" => serve::run(ctx, &serve::MULTITASK),
-        "capture_replay" => replay::run(ctx),
-        _ => train::run(ctx),
+        "serve_single" => serve::run(ctx, &mut clock, &serve::SINGLE),
+        "serve_multitask_drift" => serve::run(ctx, &mut clock, &serve::MULTITASK),
+        "capture_replay" => replay::run(ctx, &mut clock),
+        _ => train::run(ctx, &mut clock),
     };
+    println!(
+        "host slowdown: {:.3} (mean of the run's probes); off-CPU share of wall time: {:.4}",
+        clock.mean_slowdown(),
+        clock.off_cpu_frac()
+    );
+    if ctx.trace {
+        rep.set("host.slowdown", clock.mean_slowdown());
+        rep.set("host.off_cpu_frac", clock.off_cpu_frac());
+    }
     match peak_rss_mb() {
         Some(mb) => rep.set("peak_rss_mb", mb),
         None => rep.failures.push("cannot read VmHWM from /proc/self/status".into()),
@@ -316,7 +333,7 @@ struct Args {
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args { workload: None, seed: 1, seconds: 20.0, trace: false, quick: false };
+    let mut args = Args { workload: None, seed: 1, seconds: 10.0, trace: false, quick: false };
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
@@ -384,10 +401,34 @@ fn run_all(args: &Args) -> bool {
     ok
 }
 
+/// The `[profile.release]` settings of a manifest, comments dropped.
+fn release_profile(manifest: &str) -> Vec<&str> {
+    manifest
+        .lines()
+        .map(str::trim)
+        .skip_while(|l| *l != "[profile.release]")
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect()
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.first().map(String::as_str) == Some("compare") {
         return compare::main(&argv[1..]);
+    }
+    // A package with a workspace of its own cannot inherit the repository's
+    // release profile, so its manifest repeats it; refuse to measure a build
+    // whose settings differ from what the repository ships.
+    let (root, own) = (include_str!("../../Cargo.toml"), include_str!("../Cargo.toml"));
+    if release_profile(root) != release_profile(own) {
+        eprintln!(
+            "benchmark/Cargo.toml's [profile.release] {:?} differs from the repository's {:?}",
+            release_profile(own),
+            release_profile(root)
+        );
+        return ExitCode::from(2);
     }
     let args = match parse_args(&argv) {
         Ok(a) => a,

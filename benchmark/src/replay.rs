@@ -9,7 +9,6 @@
 //! on a fresh cluster, and every pass must answer exactly like the first.
 
 use std::path::Path;
-use std::time::Instant;
 
 use nfm_core::cluster::{ClusterConfig, ClusterStats, ClusterSupervisor};
 use nfm_core::netglue::Task;
@@ -18,10 +17,10 @@ use nfm_model::tokenize::field::FieldTokenizer;
 use nfm_net::capture::{Trace, TracePacket};
 use nfm_net::pcap;
 use nfm_traffic::faults::{burst_schedule, inject, FaultConfig, ReplicaFault, ReplicaFaultKind};
-use nfm_traffic::netsim::simulate;
 
-use crate::stack::{sim_config, Stack};
-use crate::stats::{median, windowed_percentile};
+use crate::clock::RefClock;
+use crate::stack::{simulate_capture, Stack};
+use crate::stats::{median, percentile, sorted};
 use crate::trace::{reconcile, report_counters, rows_per_call, Counters, Layers, Replayer, Tracer};
 use crate::{ratio, setup, Ctx, Report};
 
@@ -35,6 +34,7 @@ const MIN_MODEL_AVAILABILITY: f64 = 0.99;
 /// One rotated capture file.
 struct Segment {
     pcap: Vec<u8>,
+    packets: usize,
     /// Token context of each flow ingest assembles from the file, by flow
     /// index.
     tokens: Vec<Option<Vec<String>>>,
@@ -50,23 +50,24 @@ struct State {
     faults: Vec<ReplicaFault>,
 }
 
-fn build(ctx: &Ctx, max_tokens: usize) -> Result<State, String> {
-    let stack = Stack::build(ctx.size(), &[Task::AppClassification], max_tokens)?;
-    let lt = simulate(&sim_config(ctx.seed, ctx.size().capture_sessions));
-    let corrupt =
-        FaultConfig { corrupt_chance: 0.3, snaplen: 200, seed: ctx.seed, ..FaultConfig::default() };
-    let (noisy, _) = inject(&lt.trace, &corrupt);
+/// The rotated files a stretch of traffic arrives as: `trace` corrupted by
+/// `inject` and cut into files of `SEGMENT_PACKETS`, each with its burst
+/// schedule, all seeded by `seed`; and the requests the files assemble
+/// into, which is what replaying them costs.
+fn capture_files(trace: &Trace, seed: u64, max_tokens: usize) -> (Vec<Segment>, usize) {
+    let corrupt = FaultConfig { corrupt_chance: 0.3, snaplen: 200, seed, ..FaultConfig::default() };
+    let (noisy, _) = inject(trace, &corrupt);
     let tok = FieldTokenizer::new();
     let mut segments = Vec::new();
     for (i, chunk) in noisy.packets().chunks(SEGMENT_PACKETS).enumerate() {
         let trace = Trace::from_packets(chunk.to_vec());
-        let mut bytes = Vec::new();
-        pcap::write(&mut bytes, &trace).map_err(|e| format!("pcap write failed: {e}"))?;
+        let mut pcap = Vec::new();
+        pcap::write(&mut pcap, &trace).expect("writing to memory cannot fail");
         let (requests, _) = assemble_requests(&trace, &tok, max_tokens);
         let bursts = FaultConfig {
             burst_chance: 0.5,
             max_burst: 16,
-            seed: ctx.seed.wrapping_add(i as u64),
+            seed: seed.wrapping_add(i as u64),
             ..FaultConfig::default()
         };
         let schedule = burst_schedule(requests.len(), &bursts);
@@ -75,13 +76,30 @@ fn build(ctx: &Ctx, max_tokens: usize) -> Result<State, String> {
         for r in requests {
             tokens[r.flow] = Some(r.tokens);
         }
-        segments.push(Segment { pcap: bytes, tokens, requests: n_requests, schedule });
+        segments.push(Segment {
+            pcap,
+            packets: chunk.len(),
+            tokens,
+            requests: n_requests,
+            schedule,
+        });
     }
+    let requests = segments.iter().map(|s| s.requests).sum();
+    (segments, requests)
+}
+
+fn build(ctx: &Ctx, max_tokens: usize, clock: &mut RefClock) -> Result<State, String> {
+    let size = ctx.size();
+    let stack = Stack::build(size, &[Task::AppClassification], max_tokens, clock)?;
+    let segments = simulate_capture(ctx.seed, size.capture_packets, |trace, seed| {
+        clock.tick();
+        capture_files(trace, seed, max_tokens)
+    });
     let ticks: usize = segments.iter().map(|s| s.schedule.len()).sum();
     let crash = ReplicaFault { replica: 0, at_burst: ticks / 3, kind: ReplicaFaultKind::Crash };
     Ok(State {
         stack,
-        packets: noisy.len(),
+        packets: segments.iter().map(|s| s.packets).sum(),
         requests: segments.iter().map(|s| s.requests).sum(),
         segments,
         faults: vec![crash],
@@ -89,10 +107,14 @@ fn build(ctx: &Ctx, max_tokens: usize) -> Result<State, String> {
 }
 
 struct Pass {
-    /// Per file: its responses, read time and read-plus-serve time.
+    /// Per file: its responses, read time (wall) and read-plus-serve time
+    /// (reference).
     responses: Vec<Vec<Response>>,
     read_ns: Vec<u64>,
     file_ns: Vec<u64>,
+    /// Wall time of every read and serve, the time the layer replay
+    /// decomposes.
+    wall_ns: u64,
     stats: ClusterStats,
     ticks: usize,
     deadline_misses: usize,
@@ -111,6 +133,7 @@ fn pass(
     st: &State,
     dir: &Path,
     tr: &mut Tracer,
+    clock: &mut RefClock,
     id: u64,
     keep_traces: bool,
 ) -> Result<Pass, String> {
@@ -125,6 +148,7 @@ fn pass(
         responses: Vec::with_capacity(n),
         read_ns: Vec::with_capacity(n),
         file_ns: Vec::with_capacity(n),
+        wall_ns: 0,
         stats: ClusterStats::default(),
         ticks: 0,
         deadline_misses: 0,
@@ -132,14 +156,16 @@ fn pass(
     };
     let span = tr.open("pass", Some(id));
     for seg in &st.segments {
-        let t = Instant::now();
+        clock.tick();
+        let t = clock.now();
         let (trace, read_ns) =
             tr.timed("pcap::read", Some(id), || pcap::read(&mut seg.pcap.as_slice()));
         let trace = trace.map_err(|e| format!("pcap::read failed: {e}"))?;
-        let (responses, _) = tr.timed("ClusterSupervisor::serve_trace", Some(id), || {
+        let (responses, serve_ns) = tr.timed("ClusterSupervisor::serve_trace", Some(id), || {
             cluster.serve_trace(&trace, &tok, &seg.schedule, &st.faults)
         });
-        p.file_ns.push(t.elapsed().as_nanos() as u64);
+        p.file_ns.push(clock.now() - t);
+        p.wall_ns += read_ns + serve_ns;
         p.read_ns.push(read_ns);
         p.responses.push(responses);
         if keep_traces {
@@ -159,7 +185,8 @@ struct Run {
     /// Every timed file's latency, and every timed pass's packet rate.
     file_ms: Vec<f64>,
     pkts_per_s: Vec<f64>,
-    measured_ns: u64,
+    /// Wall time of the timed passes' reads and serves.
+    wall_ns: u64,
     passes: usize,
     /// The untimed warm-up pass.
     first: Option<Pass>,
@@ -169,10 +196,10 @@ struct Run {
 
 /// One untimed warm-up pass, whose answers every timed pass must repeat,
 /// then timed passes until `seconds` have been measured.
-fn measure(ctx: &Ctx, st: &State, seconds: f64, tr: &mut Tracer) -> Run {
+fn measure(ctx: &Ctx, st: &State, seconds: f64, tr: &mut Tracer, clock: &mut RefClock) -> Run {
     let mut run = Run::default();
     let dir = ctx.out_dir().join(format!("ckpt-{}", std::process::id()));
-    let warm = match pass(st, &dir, &mut Tracer::new(false), 0, false) {
+    let warm = match pass(st, &dir, &mut Tracer::new(false), clock, 0, false) {
         Ok(p) => p,
         Err(e) => {
             run.failures.push(e);
@@ -183,11 +210,11 @@ fn measure(ctx: &Ctx, st: &State, seconds: f64, tr: &mut Tracer) -> Run {
     let mut replayer =
         tr.enabled().then(|| Replayer::new(&st.stack.backbone, &st.stack.heads, &[], false));
     let before = Counters::now();
-    let start = Instant::now();
-    let mut replay_s = 0.0;
-    while run.passes < MIN_PASSES || start.elapsed().as_secs_f64() - replay_s < seconds {
+    let start = clock.now();
+    let mut replay_ns = 0;
+    while run.passes < MIN_PASSES || (clock.now() - start - replay_ns) as f64 / 1e9 < seconds {
         let id = run.passes as u64 + 1;
-        let p = match pass(st, &dir, tr, id, replayer.is_some()) {
+        let p = match pass(st, &dir, tr, clock, id, replayer.is_some()) {
             Ok(p) => p,
             Err(e) => {
                 run.failures.push(e);
@@ -195,20 +222,20 @@ fn measure(ctx: &Ctx, st: &State, seconds: f64, tr: &mut Tracer) -> Run {
             }
         };
         run.passes += 1;
-        run.measured_ns += p.ns();
+        run.wall_ns += p.wall_ns;
         run.file_ms.extend(p.file_ns.iter().map(|&ns| ns as f64 / 1e6));
         run.pkts_per_s.push(st.packets as f64 / (p.ns() as f64 / 1e9));
         if p.responses != warm.responses || p.stats != warm.stats {
             run.failures.push(format!("pass {id} answered differently from the warm-up pass"));
         }
         if let Some(replayer) = replayer.as_mut() {
-            let t = Instant::now();
+            let t = clock.now();
             let span = tr.open("replay", Some(id));
             for (trace, &read_ns) in p.traces.iter().zip(&p.read_ns) {
                 replay_file(&mut run.layers, tr, replayer, trace.packets(), read_ns);
             }
             tr.close(span);
-            replay_s += t.elapsed().as_secs_f64();
+            replay_ns += clock.now() - t;
         }
     }
     run.counters = Some(Counters::now().since(&before));
@@ -313,25 +340,10 @@ fn absorb(rep: &mut Report, st: &State, run: &Run, prefix: &str) {
     );
 }
 
-pub fn run(ctx: &Ctx) -> Report {
+pub fn run(ctx: &Ctx, clock: &mut RefClock) -> Report {
     let mut rep = Report::default();
     let max_tokens = ServeConfig::default().max_tokens;
-    let Some(st) = setup(
-        ctx,
-        &mut rep,
-        || build(ctx, max_tokens),
-        |st| {
-            let probe: Vec<&[String]> = st
-                .segments
-                .iter()
-                .flat_map(|s| s.tokens.iter().flatten())
-                .take(8)
-                .map(Vec::as_slice)
-                .collect();
-            let schedules: Vec<&Vec<usize>> = st.segments.iter().map(|s| &s.schedule).collect();
-            (st.stack.fingerprint(&probe), st.packets, format!("{schedules:?}"))
-        },
-    ) else {
+    let Some(st) = setup(ctx, clock, &mut rep, |clock| build(ctx, max_tokens, clock)) else {
         return rep;
     };
     println!(
@@ -341,22 +353,22 @@ pub fn run(ctx: &Ctx) -> Report {
         st.requests
     );
     if !ctx.trace {
-        let run = measure(ctx, &st, ctx.seconds, &mut Tracer::new(false));
+        let run = measure(ctx, &st, ctx.seconds, &mut Tracer::new(false), clock);
         absorb(&mut rep, &st, &run, "");
         rep.set("throughput_per_s", median(&run.pkts_per_s));
-        rep.set("latency_p50_ms", median(&run.file_ms));
-        // Each pass's p99 (with this many files, its slowest), median over
-        // passes.
-        rep.set("latency_p99_ms", windowed_percentile(&run.file_ms, st.segments.len(), 99.0));
+        let file_ms = sorted(&run.file_ms);
+        rep.set("latency_p50_ms", median(&file_ms));
+        rep.set("latency_p99_ms", percentile(&file_ms, 99.0));
         if let Some(first) = &run.first {
             rep.set("goodput_frac", first.stats.model_availability());
+            rep.set("answered_frac", first.stats.model_availability());
         }
         println!("file latency samples: {} over {} passes", run.file_ms.len(), run.passes);
         return rep;
     }
-    let untraced = measure(ctx, &st, ctx.seconds / 2.0, &mut Tracer::new(false));
+    let untraced = measure(ctx, &st, ctx.seconds / 2.0, &mut Tracer::new(false), clock);
     let mut tr = Tracer::new(true);
-    let traced = measure(ctx, &st, ctx.seconds / 2.0, &mut tr);
+    let traced = measure(ctx, &st, ctx.seconds / 2.0, &mut tr, clock);
     absorb(&mut rep, &st, &untraced, "untraced.");
     absorb(&mut rep, &st, &traced, "traced.");
     if let Some(first) = &untraced.first {
@@ -372,7 +384,7 @@ fn layer_metrics(rep: &mut Report, u: &Run, t: &Run, first: &Pass) {
     let c = u.counters.as_ref().expect("measure snapshots counters");
     let s = &first.stats;
     let arrived = s.arrived as f64;
-    report_counters(rep, c, arrived * u.passes as f64, u.measured_ns as f64 / 1e9);
+    report_counters(rep, c, arrived * u.passes as f64, u.wall_ns as f64 / 1e9);
     rep.set("encoder.rows_per_call", rows_per_call(c));
     rep.set("heads.rows_per_request", ratio(s.answered_model as f64, arrived));
     rep.set("serve.batch_size_mean", ratio(arrived, first.ticks as f64));
@@ -382,17 +394,16 @@ fn layer_metrics(rep: &mut Report, u: &Run, t: &Run, first: &Pass) {
         ratio((s.answered_fallback + s.answered_supervisor) as f64, arrived),
     );
     rep.set("serve.deadline_miss_frac", ratio(first.deadline_misses as f64, arrived));
-    rep.set("serve.error_frac", 1.0 - s.model_availability());
     let requests = arrived * t.passes as f64;
     rep.set(
         "serve.residual_ns_per_request",
-        ratio(t.measured_ns as f64 - l.total_ns() as f64, requests),
+        ratio(t.wall_ns as f64 - l.total_ns() as f64, requests),
     );
     rep.set("cluster.probes_per_pass", s.probes as f64);
     rep.set("cluster.restarts_per_pass", s.restarts_ok as f64);
     rep.set("cluster.failovers_per_pass", s.failovers as f64);
     rep.set("cluster.hedges_per_pass", s.hedges as f64);
     rep.set("cluster.model_availability", s.model_availability());
-    reconcile(rep, l.total_ns() as f64, t.measured_ns as f64);
+    reconcile(rep, l.total_ns() as f64, t.wall_ns as f64);
     rep.set("trace.overhead_frac", ratio(median(&u.pkts_per_s), median(&t.pkts_per_s)) - 1.0);
 }

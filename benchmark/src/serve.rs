@@ -8,7 +8,7 @@
 //! end of the drain that answered it, so a slow drain delays every arrival
 //! queued behind it.
 
-use std::time::{Duration, Instant};
+use std::rc::Rc;
 
 use nfm_core::netglue::Task;
 use nfm_core::ood::{DriftConfig, DriftMonitor};
@@ -19,10 +19,9 @@ use nfm_core::serve::{
 use nfm_model::tokenize::field::FieldTokenizer;
 use nfm_traffic::faults::task_mask_schedule;
 
+use crate::clock::RefClock;
 use crate::stack::{flow_pool, PoolFlow, Stack};
-use crate::stats::{
-    median, percentile, poisson_schedule, sorted, windowed_percentile, Arrival, Rng,
-};
+use crate::stats::{median, percentile, poisson_schedule, sorted, spread, Rng};
 use crate::trace::{
     matmul_calls, reconcile, report_counters, rows_per_call, Counters, Layers, Replayer, Tracer,
 };
@@ -52,13 +51,17 @@ pub const MULTITASK: Spec = Spec { tasks: &Task::ALL, rate_per_s: 250.0, limit_m
 const BLOCKS: usize = 10;
 /// Share of each block spent in the open loop; the rest is saturation.
 const OPEN_SHARE: f64 = 0.7;
-/// Requests submitted per closed-loop step of a saturation window.
+/// Requests submitted per closed-loop step of a saturation window, and the
+/// length of the seeded flow and mask order saturation requests cycle
+/// through.
 const SAT_BURST: usize = 16;
-/// Consecutive open-loop requests per latency window: each window's p99
-/// has ten samples beyond it, and `latency_p99_ms` is their median.
-const LATENCY_WINDOW: usize = 1000;
+const SAT_ORDER: usize = 4096;
 /// Chance a multi-task request asks for every task.
 const FULL_FANOUT: f64 = 0.5;
+/// Seed of the task-mask mix. Every run serves the same multiset of masks
+/// in the order its own seed shuffles them, so a seed changes which request
+/// asks for which tasks, not how much fan-out a run has.
+const MASK_MIX_SEED: u64 = 0x4D41_534B;
 
 /// The serving front ends behind one interface: K lanes, per-lane
 /// responses and statistics.
@@ -99,19 +102,22 @@ impl Server for MultiTaskServer {
 struct State {
     stack: Stack,
     monitors: Vec<DriftMonitor>,
-    pool: Vec<PoolFlow>,
+    pool: Vec<Rc<PoolFlow>>,
 }
 
-fn build(ctx: &Ctx, spec: &Spec, max_tokens: usize) -> Result<State, String> {
+fn build(ctx: &Ctx, spec: &Spec, max_tokens: usize, clock: &mut RefClock) -> Result<State, String> {
     let size = ctx.size();
-    let pool = flow_pool(ctx.seed, size.serve_sessions, size.pool_flows, max_tokens);
+    let stack = Stack::build(size, spec.tasks, max_tokens, clock)?;
+    let pool =
+        flow_pool(ctx.seed, size.serve_packets, size.pool_flows, max_tokens, &stack.token_counts);
+    clock.tick();
     if pool.is_empty() {
         return Err("the serve trace has no flow that ingests into a request".into());
     }
-    let stack = Stack::build(size, spec.tasks, max_tokens)?;
     let monitors = if spec.tasks.len() > 1 {
         (0..spec.tasks.len())
             .map(|k| {
+                clock.tick();
                 DriftMonitor::calibrate(
                     &stack.classifier(k),
                     &stack.reference[k],
@@ -166,6 +172,9 @@ struct Run {
     latency_ms: Vec<f64>,
     late_ms: Vec<f64>,
     offered: u64,
+    /// Offered requests the model answered on every lane asked, and of
+    /// those the ones answered within the latency limit.
+    model_answered: u64,
     within_limit: u64,
     window_s: f64,
     /// Saturation windows, requests answered by the model per second.
@@ -178,7 +187,6 @@ struct Run {
     lane_stats: Vec<ServeStats>,
     /// Every phase.
     requests: u64,
-    model_ok: u64,
     drains: u64,
     submits: u64,
     ingest_ns: u64,
@@ -210,7 +218,9 @@ struct Driver<'a> {
     replayer: Option<Replayer>,
     tok: FieldTokenizer,
     max_tokens: usize,
-    t0: Instant,
+    /// Every time the driver takes, arrivals' due times included, is
+    /// reference time.
+    clock: &'a mut RefClock,
     /// Time the arrival schedule is paused for: saturation windows, and in
     /// the traced run the layer replay, which stays out of the load.
     /// Every later due time moves back by it.
@@ -221,23 +231,14 @@ struct Driver<'a> {
 
 impl Driver<'_> {
     fn now(&self) -> u64 {
-        self.t0.elapsed().as_nanos() as u64
+        self.clock.now()
     }
 
-    /// Sleep through long gaps, then spin: a sleep can overshoot by tens
-    /// of microseconds, which would count as latency.
+    /// Spin until the clock reads `t_ns`. The clock counts CPU time, which
+    /// a sleep would not advance.
     fn wait_until(&self, t_ns: u64) {
-        loop {
-            let now = self.now();
-            if now >= t_ns {
-                return;
-            }
-            let left = t_ns - now;
-            if left > 2_000_000 {
-                std::thread::sleep(Duration::from_nanos(left - 1_500_000));
-            } else {
-                std::hint::spin_loop();
-            }
+        while self.now() < t_ns {
+            std::hint::spin_loop();
         }
     }
 
@@ -316,7 +317,6 @@ impl Driver<'_> {
                 }
             }
             self.run.requests += 1;
-            self.run.model_ok += u64::from(s.model == it.mask);
             self.run.queue_wait_ms.push(drain_start.saturating_sub(s.submit_ns) as f64 / 1e6);
         }
         if self.replayer.is_some() {
@@ -376,23 +376,20 @@ impl Driver<'_> {
     /// first segment are warm-up.
     fn blocks(&mut self, load: &Load, segment_ns: u64, window_ns: u64, limit_ms: f64) {
         let start = self.now();
-        let mut sat = Rng::new(load.seed ^ 0x5A7);
         // (sent, model-answered) for warm-up, open loop and saturation.
         let mut counts = [(0u64, 0u64); 3];
-        let (arrivals, mut i, mut j) = (&load.arrivals, 0, 0);
+        let (due, mut i, mut j) = (&load.due_ns, 0, 0);
         let mut items = Vec::new();
         for block in 0..BLOCKS as u64 {
             let end_ns = (block + 1) * segment_ns;
-            while i < arrivals.len() && arrivals[i].due_ns < end_ns {
-                self.wait_until(start + arrivals[i].due_ns + self.shift_ns);
+            while i < due.len() && due[i] < end_ns {
+                self.clock.tick();
+                self.wait_until(start + due[i] + self.shift_ns);
                 let now = self.now();
                 items.clear();
-                while i < arrivals.len()
-                    && arrivals[i].due_ns < end_ns
-                    && start + arrivals[i].due_ns + self.shift_ns <= now
-                {
-                    let due_ns = start + arrivals[i].due_ns + self.shift_ns;
-                    items.push(Item { flow: arrivals[i].flow, mask: load.masks[i], due_ns });
+                while i < due.len() && due[i] < end_ns && start + due[i] + self.shift_ns <= now {
+                    let (flow, mask) = load.arrivals[i];
+                    items.push(Item { flow, mask, due_ns: start + due[i] + self.shift_ns });
                     i += 1;
                 }
                 let settled = self.step(&items);
@@ -408,6 +405,7 @@ impl Driver<'_> {
                     if s.answered == it.mask {
                         self.run.latency_ms.push(latency_ms);
                     }
+                    self.run.model_answered += u64::from(model_ok);
                     self.run.within_limit += u64::from(model_ok && latency_ms <= limit_ms);
                     self.run.late_ms.push(s.submit_ns.saturating_sub(it.due_ns) as f64 / 1e6);
                 }
@@ -416,12 +414,13 @@ impl Driver<'_> {
             let elapsed = |d: &Self| d.now() - w0 - (d.shift_ns - shift0);
             let mut window_ok = 0u64;
             while elapsed(self) < window_ns {
+                self.clock.tick();
                 let due_ns = self.now();
                 let items: Vec<Item> = (0..SAT_BURST)
                     .map(|_| {
                         j += 1;
-                        let mask = load.sat_masks[j % load.sat_masks.len()];
-                        Item { flow: sat.below(self.st.pool.len()), mask, due_ns }
+                        let (flow, mask) = load.sat[j % load.sat.len()];
+                        Item { flow, mask, due_ns }
                     })
                     .collect();
                 for (it, s) in items.iter().zip(self.step(&items)) {
@@ -440,30 +439,46 @@ impl Driver<'_> {
     }
 }
 
-/// A run's seeded inputs: open-loop arrivals with their task masks, and
-/// the masks saturation requests cycle through.
+/// A run's seeded inputs: open-loop due times with each arrival's flow
+/// and task mask, and the flows and masks saturation requests cycle
+/// through.
 struct Load {
-    seed: u64,
-    arrivals: Vec<Arrival>,
-    masks: Vec<u64>,
-    sat_masks: Vec<u64>,
+    due_ns: Vec<u64>,
+    arrivals: Vec<(usize, u64)>,
+    sat: Vec<(usize, u64)>,
 }
 
-fn measure(ctx: &Ctx, spec: &Spec, st: &State, seconds: f64, tr: &mut Tracer) -> Run {
+/// `n` requests over `lanes` lanes: the fixed mix of task masks in seeded
+/// order, the requests of each mask carrying flows spread over the pool
+/// (see [`spread`]). A request costs about its flow's tokens times its
+/// lanes, so every seed's requests cost the same.
+fn requests(rng: &mut Rng, n: usize, lanes: usize, pool: usize) -> Vec<(usize, u64)> {
+    let masks = if lanes == 1 {
+        vec![1; n]
+    } else {
+        let mut masks = task_mask_schedule(n, lanes, FULL_FANOUT, MASK_MIX_SEED);
+        rng.shuffle(&mut masks);
+        masks
+    };
+    spread(rng, &masks, pool).into_iter().zip(masks).collect()
+}
+
+fn measure(
+    ctx: &Ctx,
+    spec: &Spec,
+    st: &State,
+    seconds: f64,
+    tr: &mut Tracer,
+    clock: &mut RefClock,
+) -> Run {
     let n_lanes = spec.tasks.len();
     let block_ns = seconds * 1e9 / BLOCKS as f64;
     let segment_ns = (OPEN_SHARE * block_ns) as u64;
-    let arrivals =
-        poisson_schedule(ctx.seed, spec.rate_per_s, segment_ns * BLOCKS as u64, st.pool.len());
-    let (masks, sat_masks) = if n_lanes > 1 {
-        (
-            task_mask_schedule(arrivals.len(), n_lanes, FULL_FANOUT, ctx.seed),
-            task_mask_schedule(4096, n_lanes, FULL_FANOUT, ctx.seed ^ 0x5A7),
-        )
-    } else {
-        (vec![1; arrivals.len()], vec![1])
-    };
-    let load = Load { seed: ctx.seed, arrivals, masks, sat_masks };
+    let due_ns = poisson_schedule(ctx.seed, spec.rate_per_s, segment_ns * BLOCKS as u64);
+    let mut rng = Rng::new(ctx.seed ^ 0x5A7);
+    let sat = requests(&mut rng, SAT_ORDER, n_lanes, st.pool.len());
+    let arrivals = requests(&mut rng, due_ns.len(), n_lanes, st.pool.len());
+    let load = Load { due_ns, arrivals, sat };
     let packed = n_lanes > 1;
     let replayer = tr
         .enabled()
@@ -477,7 +492,7 @@ fn measure(ctx: &Ctx, spec: &Spec, st: &State, seconds: f64, tr: &mut Tracer) ->
         replayer,
         tok: FieldTokenizer::new(),
         max_tokens: ServeConfig::default().max_tokens,
-        t0: Instant::now(),
+        clock,
         shift_ns: 0,
         next_id: 0,
         run: Run {
@@ -552,19 +567,10 @@ fn absorb(rep: &mut Report, st: &State, run: &Run, prefix: &str) {
     rep.failures.extend(verify(st, run));
 }
 
-pub fn run(ctx: &Ctx, spec: &Spec) -> Report {
+pub fn run(ctx: &Ctx, clock: &mut RefClock, spec: &Spec) -> Report {
     let mut rep = Report::default();
     let max_tokens = ServeConfig::default().max_tokens;
-    let Some(st) = setup(
-        ctx,
-        &mut rep,
-        || build(ctx, spec, max_tokens),
-        |st| {
-            let probe: Vec<&[String]> =
-                st.pool.iter().take(8).map(|f| f.tokens.as_slice()).collect();
-            (st.stack.fingerprint(&probe), st.pool.len())
-        },
-    ) else {
+    let Some(st) = setup(ctx, clock, &mut rep, |clock| build(ctx, spec, max_tokens, clock)) else {
         return rep;
     };
     let tokens: usize = st.pool.iter().map(|f| f.tokens.len()).sum();
@@ -574,23 +580,22 @@ pub fn run(ctx: &Ctx, spec: &Spec) -> Report {
         tokens as f64 / st.pool.len() as f64
     );
     if !ctx.trace {
-        let run = measure(ctx, spec, &st, ctx.seconds, &mut Tracer::new(false));
+        let run = measure(ctx, spec, &st, ctx.seconds, &mut Tracer::new(false), clock);
         absorb(&mut rep, &st, &run, "");
         rep.set("throughput_per_s", median(&run.windows));
-        rep.set("latency_p50_ms", median(&run.latency_ms));
-        rep.set("latency_p99_ms", windowed_percentile(&run.latency_ms, LATENCY_WINDOW, 99.0));
+        let latency_ms = sorted(&run.latency_ms);
+        rep.set("latency_p50_ms", median(&latency_ms));
+        rep.set("latency_p99_ms", percentile(&latency_ms, 99.0));
         rep.set("goodput_frac", ratio(run.within_limit as f64, run.offered as f64));
-        println!(
-            "open-loop latency samples: {} (p99 windows of {LATENCY_WINDOW})",
-            run.latency_ms.len()
-        );
+        rep.set("answered_frac", ratio(run.model_answered as f64, run.offered as f64));
+        println!("open-loop latency samples: {}", run.latency_ms.len());
         let windows: Vec<String> = run.windows.iter().map(|w| format!("{w:.0}")).collect();
         println!("saturation windows (req/s): {}", windows.join(" "));
         return rep;
     }
-    let untraced = measure(ctx, spec, &st, ctx.seconds / 2.0, &mut Tracer::new(false));
+    let untraced = measure(ctx, spec, &st, ctx.seconds / 2.0, &mut Tracer::new(false), clock);
     let mut tr = Tracer::new(true);
-    let traced = measure(ctx, spec, &st, ctx.seconds / 2.0, &mut tr);
+    let traced = measure(ctx, spec, &st, ctx.seconds / 2.0, &mut tr, clock);
     absorb(&mut rep, &st, &untraced, "untraced.");
     absorb(&mut rep, &st, &traced, "traced.");
     layer_metrics(&mut rep, &untraced, &traced);
@@ -632,7 +637,6 @@ fn layer_metrics(rep: &mut Report, u: &Run, t: &Run) {
     rep.set("serve.shed_frac", ratio(sum(|s| s.shed), arrived));
     rep.set("serve.fallback_frac", ratio(sum(|s| s.answered_fallback), arrived));
     rep.set("serve.deadline_miss_frac", ratio(sum(|s| s.deadline_misses), arrived));
-    rep.set("serve.error_frac", 1.0 - ratio(u.model_ok as f64, requests));
     let measured = t.busy_ns() as f64;
     rep.set(
         "serve.residual_ns_per_request",
@@ -642,4 +646,25 @@ fn layer_metrics(rep: &mut Report, u: &Run, t: &Run) {
     rep.set("loadgen.offered_rps", ratio(t.offered as f64, t.window_s));
     reconcile(rep, l.total_ns() as f64, measured);
     rep.set("trace.overhead_frac", ratio(median(&u.windows), median(&t.windows)) - 1.0);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn task_masks_are_a_function_of_the_seed() {
+        let a = requests(&mut Rng::new(3), 500, 4, 64);
+        assert_eq!(a, requests(&mut Rng::new(3), 500, 4, 64));
+        let b = requests(&mut Rng::new(4), 500, 4, 64);
+        assert_ne!(a, b);
+        let masks = |v: &[(usize, u64)]| {
+            let mut m: Vec<u64> = v.iter().map(|r| r.1).collect();
+            m.sort_unstable();
+            m
+        };
+        assert_eq!(masks(&a), masks(&b));
+        assert!(a.iter().all(|&(f, m)| f < 64 && m != 0 && m < 16));
+        assert!(requests(&mut Rng::new(3), 5, 1, 64).iter().all(|r| r.1 == 1));
+    }
 }

@@ -1,6 +1,8 @@
 //! Seeded input generation and the order statistics every metric is
 //! reported with.
 
+use std::collections::BTreeMap;
+
 /// SplitMix64: a tiny seeded generator for arrival times and flow picks.
 /// The benchmark owns its input generator so the schedule a seed produces
 /// never changes when the system under test changes its own RNG.
@@ -19,44 +21,62 @@ impl Rng {
         z ^ (z >> 31)
     }
 
-    /// Uniform in [0, 1).
-    pub fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
     /// Uniform in 0..n (n > 0).
     pub fn below(&mut self, n: usize) -> usize {
         (self.next_u64() % n as u64) as usize
     }
-}
 
-/// One open-loop arrival: when it is due (ns after the loop starts) and
-/// which pool flow it carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Arrival {
-    pub due_ns: u64,
-    pub flow: usize,
-}
-
-/// Poisson arrivals at `rate_per_s` over `duration_ns`, each carrying a
-/// uniformly drawn flow out of `n_flows`. A function of its arguments only.
-pub fn poisson_schedule(
-    seed: u64,
-    rate_per_s: f64,
-    duration_ns: u64,
-    n_flows: usize,
-) -> Vec<Arrival> {
-    let mut rng = Rng::new(seed);
-    let mean_gap_ns = 1e9 / rate_per_s;
-    let mut out = Vec::new();
-    let mut t = 0.0f64;
-    loop {
-        t += -(1.0 - rng.unit()).ln() * mean_gap_ns;
-        if t >= duration_ns as f64 {
-            return out;
+    /// Shuffle `items` in place (Fisher-Yates).
+    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, self.below(i + 1));
         }
-        out.push(Arrival { due_ns: t as u64, flow: rng.below(n_flows) });
     }
+}
+
+/// An input of the pool `0..k` (k > 0, ascending in cost) for each
+/// request, where `classes[i]` is request i's class. Within each class the
+/// inputs sit at evenly spaced ranks of the pool, from a seeded offset, in
+/// seeded order, so every class draws the pool's cost mix whatever the
+/// seed: a seed changes which request carries which input, not what a
+/// class of requests costs.
+pub fn spread<C: Ord + Copy>(rng: &mut Rng, classes: &[C], k: usize) -> Vec<usize> {
+    let mut members: BTreeMap<C, Vec<usize>> = BTreeMap::new();
+    for (i, &c) in classes.iter().enumerate() {
+        members.entry(c).or_default().push(i);
+    }
+    let mut out = vec![0; classes.len()];
+    for requests in members.values() {
+        let n = requests.len();
+        // Below k, so the last rank, ((n - 1) k + offset) / n, is below k.
+        let offset = rng.below(k);
+        let mut ranks: Vec<usize> = (0..n).map(|j| (j * k + offset) / n).collect();
+        rng.shuffle(&mut ranks);
+        for (&i, rank) in requests.iter().zip(ranks) {
+            out[i] = rank;
+        }
+    }
+    out
+}
+
+/// Due times (ns after the loop starts) of Poisson arrivals at
+/// `rate_per_s` over `duration_ns`. The exponential gaps are stratified:
+/// every seed gets the same gaps, one at each of the distribution's evenly
+/// spaced quantiles, in its own order. A seed changes when requests bunch
+/// up, not how many arrive or how long the gaps are.
+pub fn poisson_schedule(seed: u64, rate_per_s: f64, duration_ns: u64) -> Vec<u64> {
+    let mut rng = Rng::new(seed);
+    let n = (rate_per_s * duration_ns as f64 / 1e9) as usize;
+    let mean_gap_ns = 1e9 / rate_per_s;
+    let mut gaps: Vec<u64> =
+        (0..n).map(|j| (-(1.0 - (j as f64 + 0.5) / n as f64).ln() * mean_gap_ns) as u64).collect();
+    rng.shuffle(&mut gaps);
+    gaps.into_iter()
+        .scan(0, |t, gap| {
+            *t += gap;
+            Some(*t)
+        })
+        .collect()
 }
 
 /// Nearest-rank percentile (`p` in 0..=100) of an ascending slice.
@@ -66,19 +86,6 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     }
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// The median over consecutive windows of `window` samples of each
-/// window's nearest-rank percentile `p`. A trailing partial window is
-/// dropped unless it is the only one. A slow spell of the host that
-/// covers a minority of the windows does not move the result.
-pub fn windowed_percentile(samples: &[f64], window: usize, p: f64) -> f64 {
-    let per_window: Vec<f64> = samples
-        .chunks(window)
-        .filter(|c| c.len() == window || samples.len() < window)
-        .map(|c| percentile(&sorted(c), p))
-        .collect();
-    median(&per_window)
 }
 
 /// Sort a copy ascending (NaN-free input).
@@ -125,24 +132,41 @@ mod tests {
 
     #[test]
     fn poisson_schedule_is_a_function_of_the_seed() {
-        let a = poisson_schedule(7, 1500.0, 2_000_000_000, 300);
-        let b = poisson_schedule(7, 1500.0, 2_000_000_000, 300);
-        let c = poisson_schedule(8, 1500.0, 2_000_000_000, 300);
+        let a = poisson_schedule(7, 1500.0, 2_000_000_000);
+        let b = poisson_schedule(7, 1500.0, 2_000_000_000);
+        let c = poisson_schedule(8, 1500.0, 2_000_000_000);
         assert_eq!(a, b);
         assert_ne!(a, c);
-        // 3000 expected arrivals; a Poisson count is within 5 sd of that.
-        assert!((2700..3300).contains(&a.len()), "{} arrivals", a.len());
-        assert!(a.windows(2).all(|w| w[0].due_ns <= w[1].due_ns));
-        assert!(a.iter().all(|x| x.flow < 300 && x.due_ns < 2_000_000_000));
+        assert_eq!((a.len(), c.len()), (3000, 3000));
+        assert!(a.windows(2).all(|w| w[0] <= w[1]));
+        assert!(a.iter().all(|&t| t < 2_000_000_000));
+        // The same gaps in another order.
+        let gaps = |s: &[u64]| {
+            let mut g: Vec<u64> =
+                s.iter().scan(0, |prev, &t| Some(t - std::mem::replace(prev, t))).collect();
+            g.sort_unstable();
+            g
+        };
+        assert_eq!(gaps(&a), gaps(&c));
     }
 
     #[test]
-    fn task_masks_are_a_function_of_the_seed() {
-        use nfm_traffic::faults::task_mask_schedule;
-        let a = task_mask_schedule(500, 4, 0.5, 3);
-        assert_eq!(a, task_mask_schedule(500, 4, 0.5, 3));
-        assert_ne!(a, task_mask_schedule(500, 4, 0.5, 4));
-        assert!(a.iter().all(|&m| m != 0 && m < 16));
+    fn spread_gives_every_class_evenly_spaced_inputs() {
+        // Class 1 has 300 requests over a pool of 100, class 2 has 4.
+        let classes: Vec<u8> = (0..304).map(|i| if i % 76 == 75 { 2 } else { 1 }).collect();
+        let v = spread(&mut Rng::new(5), &classes, 100);
+        assert_eq!(v, spread(&mut Rng::new(5), &classes, 100));
+        assert_ne!(v, spread(&mut Rng::new(6), &classes, 100));
+        let of = |class: u8| {
+            let mut inputs: Vec<usize> =
+                v.iter().zip(&classes).filter(|(_, &c)| c == class).map(|(&x, _)| x).collect();
+            inputs.sort_unstable();
+            inputs
+        };
+        // Every input three times; four inputs a quarter of the pool apart.
+        assert_eq!(of(1), (0..100).flat_map(|x| [x; 3]).collect::<Vec<_>>());
+        let quarter = of(2);
+        assert!(quarter.windows(2).all(|w| w[1] - w[0] == 25), "{quarter:?}");
     }
 
     #[test]
@@ -156,18 +180,6 @@ mod tests {
         assert_eq!(percentile(&[], 50.0), 0.0);
         let v: Vec<f64> = (1..=1000).map(f64::from).collect();
         assert_eq!(percentile(&v, 99.0), 990.0);
-    }
-
-    #[test]
-    fn windowed_percentile_is_the_median_window() {
-        // Three windows of 100 with p99s 99, 199 and 1e6 (one outlier
-        // window), plus a partial window that is dropped.
-        let mut v: Vec<f64> = (1..=200).map(f64::from).collect();
-        v.extend((1..=100).map(|x| if x > 98 { 1e6 } else { f64::from(x) }));
-        v.extend([5e6; 10]);
-        assert_eq!(windowed_percentile(&v, 100, 99.0), 199.0);
-        // Fewer samples than one window: the percentile of them all.
-        assert_eq!(windowed_percentile(&[3.0, 1.0, 2.0], 100, 50.0), 2.0);
     }
 
     #[test]
