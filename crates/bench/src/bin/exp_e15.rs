@@ -116,12 +116,12 @@ fn run_scenario(clf: &FmClassifier, trace: &Trace, scenario: &Scenario) -> Outco
     let mut snapshot: Vec<Vec<f32>> = Vec::new();
     for phase in 0..3 {
         if scenario.poison_midrun && phase == 1 {
-            engine.model_mut().encoder.visit_params(&mut |p, _| snapshot.push(p.to_vec()));
-            engine.model_mut().encoder.visit_params(&mut |p, _| p.fill(f32::NAN));
+            engine.model_mut().encoder_mut().visit_params(&mut |p, _| snapshot.push(p.to_vec()));
+            engine.model_mut().encoder_mut().visit_params(&mut |p, _| p.fill(f32::NAN));
         }
         if scenario.poison_midrun && phase == 2 {
             let mut slot = 0usize;
-            engine.model_mut().encoder.visit_params(&mut |p, _| {
+            engine.model_mut().encoder_mut().visit_params(&mut |p, _| {
                 p.copy_from_slice(&snapshot[slot]);
                 slot += 1;
             });

@@ -1,6 +1,5 @@
 //! E19 — shared-encoder multi-task serving with embedding fan-out (paper
-//! §3's amortization argument at serving time; the multi-task counterpart
-//! of E17's micro-batching).
+//! §3's amortization argument at serving time).
 //!
 //! Claim: the economic case for a network foundation model (§3) is that one
 //! pre-trained encoder amortizes across the NetGLUE task suite (§4.2). That
@@ -8,9 +7,9 @@
 //! fine-tuning — but it applies equally at *serving* time: a deployment
 //! answering K tasks about the same flow should run the shared encoder
 //! once, cache the pooled embedding, and fan it out to K lightweight heads,
-//! instead of running K full forwards. The risk is semantic: batching,
-//! shedding, deadlines, breakers, and retries are all per-task state
-//! machines, and sharing compute must not change a single answer.
+//! instead of running K full forwards. The risk is semantic: shedding,
+//! deadlines, breakers, and retries are all per-task state machines, and
+//! sharing compute must not change a single answer.
 //!
 //! This binary builds one [`FmBackbone`] plus a [`TaskHead`] per NetGLUE
 //! task, serves a bursty request stream with random per-request task
@@ -150,8 +149,6 @@ fn run_scenario(
         queue_capacity: 12,
         shed_watermark: 8,
         deadline_budget: scenario.deadline_budget,
-        max_batch: 8,
-        batch_cost_budget: 6 * backbone.encoder_cost(MAX_TOKENS),
         max_tokens: MAX_TOKENS,
         seed: 29,
         ..ServeConfig::default()
@@ -222,7 +219,6 @@ fn fanout_table(outcomes: &[Outcome]) -> Table {
         "scenario",
         "submitted",
         "lane_offers",
-        "batches",
         "encoder_rows",
         "head_rows",
         "amortization",
@@ -234,7 +230,6 @@ fn fanout_table(outcomes: &[Outcome]) -> Table {
             o.scenario.into(),
             f.submitted.to_string(),
             f.lane_offers.to_string(),
-            f.batches.to_string(),
             f.encoder_rows.to_string(),
             f.head_rows.to_string(),
             format!("{ratio:.2}x"),
@@ -307,7 +302,7 @@ fn main() {
             "{}: random subsets plus 60% full fan-out must multi-task some requests",
             o.scenario
         );
-        assert!(f.batches > 0 && f.encoder_rows > 0, "{}: shared batches ran", o.scenario);
+        assert!(f.encoder_rows > 0, "{}: the shared encoder ran", o.scenario);
         assert!(
             f.encoder_rows < f.head_rows,
             "{}: amortization means strictly fewer encoder forwards ({}) than head \

@@ -20,24 +20,14 @@
 //!
 //! `--baseline <path>` compares this run against a previously written
 //! `BENCH_perf.json`: the report gains a `vs_base` column, and the process
-//! exits nonzero when `serve_throughput`, `serve_throughput_batched`,
-//! `multitask_throughput`, or `cluster_throughput` regresses by more than
-//! 20% at any thread count.
-//!
-//! `NFM_BENCH_ASSERT_BATCHED=1` turns the batched-serving comparison into a
-//! smoke gate: the process exits 2 if micro-batched serving at one thread is
-//! more than 5% slower than unbatched serving. The 5% band absorbs
-//! single-core VM timer noise — since the elementwise kernels vectorised,
-//! batched and unbatched serving are within a few percent of each other on
-//! bench-sized models, and the gate exists to catch structural regressions
-//! (batching losing outright), not scheduler jitter.
+//! exits nonzero when `serve_throughput`, `multitask_throughput`, or
+//! `cluster_throughput` regresses by more than 20% at any thread count.
 //!
 //! The multi-task fan-out comparison is always a gate: the process exits 2
 //! if `MultiTaskServer` at one thread delivers less than 2x the answer
-//! throughput of four separate single-task engines. Unlike micro-batching,
-//! fan-out removes K−1 encoder forwards outright, so the margin is
-//! structural — falling under 2x means the shared-encoder path stopped
-//! sharing.
+//! throughput of four separate single-task engines. Fan-out removes K−1
+//! encoder forwards outright, so the margin is structural — falling under
+//! 2x means the shared-encoder path stopped sharing.
 
 use std::time::Instant;
 
@@ -274,69 +264,6 @@ fn main() {
     }
     pool::set_threads(0);
 
-    // --- Micro-batched serving ------------------------------------------
-    // The same workload with the queue drained in micro-batches
-    // (`max_batch` requests per packed forward pass, scratch buffers
-    // reused). Responses are asserted bitwise identical to the unbatched
-    // run before anything is timed, so the throughput delta is pure
-    // batching effect.
-    let batched_cfg = ServeConfig { max_batch: 16, ..serve_cfg };
-    {
-        pool::set_threads(1);
-        let majority = || Fallback::Majority(MajorityBaseline { class: 0, n_classes: 2 });
-        let mut single = ServeEngine::new(clf.clone(), majority(), serve_cfg);
-        let mut batched = ServeEngine::new(clf.clone(), majority(), batched_cfg);
-        let rs = single.serve_trace(&noisy, &tokenizer, &schedule);
-        let rb = batched.serve_trace(&noisy, &tokenizer, &schedule);
-        assert_eq!(rs, rb, "micro-batched serving must answer bitwise identically");
-        assert_eq!(single.stats(), batched.stats(), "serving stats must match");
-        println!("batched-vs-unbatched identity: ok ({} responses)\n", rs.len());
-        pool::set_threads(0);
-    }
-    let mut batched_t1 = f64::NAN;
-    for &t in &thread_counts {
-        pool::set_threads(t);
-        let mut served = 0usize;
-        let wall = best_of(if quick { 2 } else { 3 }, || {
-            let mut engine = ServeEngine::new(
-                clf.clone(),
-                Fallback::Majority(MajorityBaseline { class: 0, n_classes: 2 }),
-                batched_cfg,
-            );
-            served = engine.serve_trace(&noisy, &tokenizer, &schedule).len();
-        });
-        let throughput = served as f64 / (wall / 1e3);
-        if t == 1 {
-            batched_t1 = throughput;
-        }
-        records.push(Rec {
-            name: "serve_throughput_batched".into(),
-            threads: t,
-            value: throughput,
-            unit: "req_per_s",
-        });
-    }
-    pool::set_threads(0);
-    let single_t1 = records
-        .iter()
-        .find(|r| r.name == "serve_throughput" && r.threads == 1)
-        .map(|r| r.value)
-        .unwrap_or(f64::NAN);
-    println!(
-        "serve throughput at 1 thread: unbatched {single_t1:.0} req/s, \
-         batched {batched_t1:.0} req/s ({:.2}x)\n",
-        batched_t1 / single_t1
-    );
-    if std::env::var("NFM_BENCH_ASSERT_BATCHED").as_deref() == Ok("1")
-        && batched_t1 < single_t1 * 0.95
-    {
-        eprintln!(
-            "FAIL: batched serving ({batched_t1:.0} req/s) is more than 5% slower than \
-             unbatched ({single_t1:.0} req/s) at 1 thread"
-        );
-        std::process::exit(2);
-    }
-
     // --- Multi-task fan-out serving --------------------------------------
     // K = 4 tasks over the same corrupted bursty capture. The fan-out path
     // (`MultiTaskServer`: one shared encoder forward per admitted flow, K
@@ -529,10 +456,7 @@ fn main() {
                     // the baseline file fails the run.
                     let gated = matches!(
                         rec.name.as_str(),
-                        "serve_throughput"
-                            | "serve_throughput_batched"
-                            | "multitask_throughput"
-                            | "cluster_throughput"
+                        "serve_throughput" | "multitask_throughput" | "cluster_throughput"
                     );
                     if gated && delta < -0.20 {
                         regressions.push(format!(

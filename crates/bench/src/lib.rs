@@ -145,9 +145,9 @@ impl ModelFamily {
 /// A trained model of any family, unified behind predict/evaluate.
 pub enum TrainedModel {
     /// A GRU baseline.
-    Gru(GruBaseline),
+    Gru(Box<GruBaseline>),
     /// A fine-tuned foundation-model classifier.
-    Fm(FmClassifier),
+    Fm(Box<FmClassifier>),
 }
 
 impl TrainedModel {
@@ -175,12 +175,12 @@ pub fn train_family(
             } else {
                 BaselineKind::GruGlove
             };
-            TrainedModel::Gru(GruBaseline::train(
+            TrainedModel::Gru(Box::new(GruBaseline::train(
                 train,
                 n_classes,
                 kind,
                 &BaselineConfig { epochs: scale.baseline_epochs, ..BaselineConfig::default() },
-            ))
+            )))
         }
         ModelFamily::FmFrozen => {
             // Head-only training is cheap: give it more epochs and a higher
@@ -193,9 +193,9 @@ pub fn train_family(
                 pooling: nfm_core::pipeline::Pooling::Mean,
                 ..FineTuneConfig::default()
             };
-            TrainedModel::Fm(
+            TrainedModel::Fm(Box::new(
                 FmClassifier::fine_tune(fm, train, n_classes, &cfg).expect("fine-tuning failed"),
-            )
+            ))
         }
         ModelFamily::FmFinetuned => {
             // Standard BERT recipe: full fine-tuning from the [CLS]
@@ -207,9 +207,9 @@ pub fn train_family(
                 lr: 1e-3,
                 ..FineTuneConfig::default()
             };
-            TrainedModel::Fm(
+            TrainedModel::Fm(Box::new(
                 FmClassifier::fine_tune(fm, train, n_classes, &cfg).expect("fine-tuning failed"),
-            )
+            ))
         }
     }
 }

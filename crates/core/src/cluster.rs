@@ -708,7 +708,7 @@ impl ClusterSupervisor {
             }
             ReplicaFaultKind::CorruptWeights => {
                 self.stats.corruptions_injected += 1;
-                self.replicas[i].engine.model_mut().encoder.visit_params(&mut |p, _| {
+                self.replicas[i].engine.model_mut().encoder_mut().visit_params(&mut |p, _| {
                     p.fill(f32::NAN);
                 });
             }
@@ -1368,7 +1368,7 @@ mod tests {
         // task can never perturb the backbone other tasks share.
         let enc_bits = |c: &FmClassifier| {
             let mut out = Vec::new();
-            let mut enc = c.encoder.clone();
+            let mut enc = c.backbone().encoder.clone();
             enc.visit_params(&mut |p, _| out.extend(p.iter().map(|v| v.to_bits())));
             out
         };

@@ -79,11 +79,12 @@ pub fn occlusion_groups(clf: &FmClassifier, tokens: &[String]) -> Vec<Attributio
 /// head-averaged attention matrices (with residual mixing) and read the
 /// `[CLS]` row — how much each input position feeds the classification.
 pub fn attention_rollout(clf: &mut FmClassifier, tokens: &[String]) -> Vec<f64> {
-    let ids = encode_context(&clf.vocab, tokens, clf.max_len);
+    let ids = encode_context(&clf.backbone().vocab, tokens, clf.backbone().max_len);
     let t = ids.len();
     // Training-mode forward to capture attention maps (gradients unused).
-    let _ = clf.encoder.forward(&ids);
-    let layers = clf.encoder.last_attention();
+    let encoder = clf.encoder_mut();
+    let _ = encoder.forward(&ids);
+    let layers = encoder.last_attention();
     let mut rollout = Matrix::from_fn(t, t, |r, c| if r == c { 1.0 } else { 0.0 });
     for heads in layers {
         if heads.is_empty() {

@@ -64,8 +64,8 @@ pub struct EmbeddingStats {
 impl EmbeddingStats {
     /// Fit from the training examples' embeddings.
     pub fn fit(clf: &FmClassifier, train: &[TextExample]) -> EmbeddingStats {
-        let dim = clf.encoder.config.d_model;
-        let n_classes = clf.n_classes;
+        let dim = clf.backbone().d_model();
+        let n_classes = clf.head().n_classes;
         let mut sums = vec![vec![0.0f64; dim]; n_classes];
         let mut counts = vec![0usize; n_classes];
         let embeddings: Vec<(usize, Vec<f32>)> =

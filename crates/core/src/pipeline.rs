@@ -10,6 +10,7 @@
 use std::error::Error;
 use std::fmt;
 use std::path::Path;
+use std::sync::Arc;
 
 use nfm_model::checkpoint::{
     read_cls_head, read_encoder, read_vocab, write_cls_head, write_encoder, write_vocab,
@@ -372,20 +373,15 @@ fn run_fine_tune_shard(
 /// plus the cost actually spent, or the typed refusal.
 pub type CostedLogits = Result<(Vec<f32>, u64), InferError>;
 
-/// A fine-tuned classifier: encoder copy plus classification head.
+/// A fine-tuned classifier: a shared [`FmBackbone`] plus one [`TaskHead`].
+/// Clones share one backbone allocation, so replicas and multi-task lanes
+/// built from one classifier hold one copy of the encoder; mutable access
+/// ([`FmClassifier::encoder_mut`]) copies the backbone first, so changing
+/// one holder's weights never changes another's.
 #[derive(Debug, Clone)]
 pub struct FmClassifier {
-    /// The (possibly fine-tuned) encoder.
-    pub encoder: Encoder,
-    head: ClsHead,
-    /// Vocabulary shared with the foundation model.
-    pub vocab: Vocab,
-    /// Sequence cap.
-    pub max_len: usize,
-    /// Number of classes.
-    pub n_classes: usize,
-    /// Pooling strategy (fixed at fine-tune time).
-    pub pooling: Pooling,
+    backbone: Arc<FmBackbone>,
+    head: TaskHead,
 }
 
 impl FmClassifier {
@@ -405,18 +401,9 @@ impl FmClassifier {
         if examples.is_empty() {
             return Err(PipelineError::NoExamples);
         }
-        let mut init_rng = StdRng::seed_from_u64(config.seed);
-        let encoder = fm.encoder.clone();
-        let head = ClsHead::new(&mut init_rng, encoder.config.d_model, n_classes);
-        Self::fine_tune_loop(
-            encoder,
-            head,
-            fm.vocab.clone(),
-            fm.max_len,
-            examples,
-            n_classes,
-            config,
-        )
+        let backbone = FmBackbone::from_model(fm, config.pooling);
+        let head = TaskHead::init("", &backbone, n_classes, config.seed);
+        Self::fine_tune_loop(backbone, head, examples, config)
     }
 
     /// Warm-start fine-tuning from an existing classifier: the encoder and
@@ -434,31 +421,22 @@ impl FmClassifier {
         if examples.is_empty() {
             return Err(PipelineError::NoExamples);
         }
-        let mut config = config.clone();
-        config.pooling = base.pooling;
-        Self::fine_tune_loop(
-            base.encoder.clone(),
-            base.head.clone(),
-            base.vocab.clone(),
-            base.max_len,
-            examples,
-            base.n_classes,
-            &config,
-        )
+        Self::fine_tune_loop((*base.backbone).clone(), base.head.clone(), examples, config)
     }
 
     /// The guard-supervised training loop shared by
-    /// [`FmClassifier::fine_tune`] (fresh head) and
-    /// [`FmClassifier::fine_tune_from`] (warm start).
+    /// [`FmClassifier::fine_tune`] (fresh head),
+    /// [`FmClassifier::fine_tune_from`] (warm start), and the head-only
+    /// [`TaskHead`] fits. Pools through the backbone's pooling;
+    /// `config.pooling` is not read.
     fn fine_tune_loop(
-        mut encoder: Encoder,
-        mut head: ClsHead,
-        vocab: Vocab,
-        max_len: usize,
+        backbone: FmBackbone,
+        task: TaskHead,
         examples: &[TextExample],
-        n_classes: usize,
         config: &FineTuneConfig,
     ) -> Result<FmClassifier, PipelineError> {
+        let FmBackbone { mut encoder, vocab, max_len, pooling } = backbone;
+        let TaskHead { name, mut head, n_classes, .. } = task;
         // Span cost = MAC delta over the run (deterministic work units).
         let macs = nfm_obs::global().counter("tensor.matmul.macs", nfm_obs::Unit::Macs);
         let macs_at_start = macs.get();
@@ -514,7 +492,7 @@ impl FmClassifier {
                             &head,
                             &batch[shards[s].clone()],
                             &encoded,
-                            config.pooling,
+                            pooling,
                             config.freeze_encoder,
                         )
                     });
@@ -612,7 +590,10 @@ impl FmClassifier {
             }
         }
         run_span.add_cost(macs.get().saturating_sub(macs_at_start));
-        Ok(FmClassifier { encoder, head, vocab, max_len, n_classes, pooling: config.pooling })
+        Ok(FmClassifier {
+            backbone: Arc::new(FmBackbone { encoder, vocab, max_len, pooling }),
+            head: TaskHead { name, head, n_classes, pooling },
+        })
     }
 
     /// Serialize the fine-tuned classifier (vocabulary + encoder + head +
@@ -620,17 +601,18 @@ impl FmClassifier {
     /// atomically (tmp + rename). This is the artifact a cluster replica
     /// warm-restarts from.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
+        let backbone = &self.backbone;
         let mut w = ByteWriter::new();
-        w.put_u64(self.max_len as u64);
-        w.put_u64(self.n_classes as u64);
-        w.put_u8(match self.pooling {
+        w.put_u64(backbone.max_len as u64);
+        w.put_u64(self.head.n_classes as u64);
+        w.put_u8(match backbone.pooling {
             Pooling::Cls => 0,
             Pooling::Mean => 1,
         });
-        write_vocab(&mut w, &self.vocab);
-        let mut encoder = self.encoder.clone();
+        write_vocab(&mut w, &backbone.vocab);
+        let mut encoder = backbone.encoder.clone();
         write_encoder(&mut w, &mut encoder);
-        let mut head = self.head.clone();
+        let mut head = self.head.head.clone();
         write_cls_head(&mut w, &mut head);
         save_record(path, KIND_CLASSIFIER, &w.into_bytes())
     }
@@ -660,15 +642,16 @@ impl FmClassifier {
                 r.remaining()
             )));
         }
-        Ok(FmClassifier { encoder, head, vocab, max_len, n_classes, pooling })
+        Ok(FmClassifier {
+            backbone: Arc::new(FmBackbone { encoder, vocab, max_len, pooling }),
+            head: TaskHead { name: String::new(), head, n_classes, pooling },
+        })
     }
 
     /// Raw logits for a token sequence.
     pub fn logits(&self, tokens: &[String]) -> Vec<f32> {
-        let ids = encode_context(&self.vocab, tokens, self.max_len);
-        let hidden = self.encoder.forward_inference(&ids);
-        let pooled = pool(&hidden, self.pooling);
-        self.head.forward_inference(&pooled).row(0).to_vec()
+        let pooled = self.backbone.pooled(&self.backbone.encode(tokens));
+        self.head.logits_batch(&pooled).into_data()
     }
 
     /// Predicted class id. NaN logits compare as −∞ (a degraded model
@@ -683,157 +666,18 @@ impl FmClassifier {
     /// serving path budgets request deadlines against this proxy, so the
     /// same request costs the same on every run.
     pub fn inference_cost(&self, n_tokens: usize) -> u64 {
-        // encode_context adds [CLS]/[SEP] framing; mirror it so callers can
-        // budget from raw token counts.
-        let t = (n_tokens + 2).min(self.max_len);
-        let head = (self.encoder.config.d_model * self.n_classes) as u64;
-        self.encoder.inference_cost(t) + head
+        self.backbone.encoder_cost(n_tokens) + self.head.head_cost(self.backbone.d_model())
     }
 
-    /// Deadline-aware logits: computes within `budget` cost units or
-    /// returns a typed [`InferError`] without finishing the forward pass.
-    /// On success also reports the cost actually spent. Never panics —
-    /// empty post-encoding sequences surface as [`InferError::EmptyInput`].
-    pub fn logits_within(
-        &self,
-        tokens: &[String],
-        budget: u64,
-    ) -> Result<(Vec<f32>, u64), InferError> {
-        let ids = encode_context(&self.vocab, tokens, self.max_len);
-        let head_cost = (self.encoder.config.d_model * self.n_classes) as u64;
-        let (hidden, spent) = self.encoder.forward_inference_within(&ids, budget)?;
-        if spent + head_cost > budget {
-            return Err(InferError::DeadlineExceeded { spent, needed: head_cost, budget });
-        }
-        let pooled = pool(&hidden, self.pooling);
-        let logits = self.head.forward_inference(&pooled).row(0).to_vec();
-        Ok((logits, spent + head_cost))
-    }
-
-    /// Deadline-aware predict: argmax of [`FmClassifier::logits_within`]
-    /// (NaN-tolerant, ties to the lowest class), plus the cost spent.
-    pub fn predict_within(
-        &self,
-        tokens: &[String],
-        budget: u64,
-    ) -> Result<(usize, u64), InferError> {
-        let (logits, spent) = self.logits_within(tokens, budget)?;
-        Ok((argmax_nan_tolerant(&logits), spent))
-    }
-
-    /// Deadline-aware logits for a whole micro-batch, element-wise bitwise
-    /// identical to calling [`FmClassifier::logits_within`] per request
-    /// with the same `budget`.
-    ///
-    /// Each request's charge schedule is first replayed without compute
-    /// ([`Encoder::plan_inference_cost`] plus the head check), so requests
-    /// the budget cannot cover get their exact deterministic
-    /// [`InferError::DeadlineExceeded`] without holding up the batch. The
-    /// affordable remainder runs through one packed
-    /// [`Encoder::forward_inference_batch`] — the layer projections and the
-    /// classifier head each execute as a single GEMM across the batch —
-    /// with scratch matrices drawn from `arena`. Per-request cost
-    /// accounting is unchanged: each request is charged its own encoder
-    /// spend plus the head cost, never a batch-amortised share.
-    pub fn logits_batch_within(
-        &self,
-        batch: &[&[String]],
-        budget: u64,
-        arena: &mut ScratchArena,
-    ) -> Vec<CostedLogits> {
-        let head_cost = (self.encoder.config.d_model * self.n_classes) as u64;
-        let encoded: Vec<Vec<usize>> =
-            batch.iter().map(|t| encode_context(&self.vocab, t, self.max_len)).collect();
-        let mut results: Vec<Option<CostedLogits>> = (0..batch.len()).map(|_| None).collect();
-        let mut run: Vec<(usize, u64)> = Vec::with_capacity(batch.len());
-        for (i, ids) in encoded.iter().enumerate() {
-            match self.encoder.plan_inference_cost(ids.len(), budget) {
-                Err(e) => results[i] = Some(Err(e)),
-                Ok(enc_spent) if enc_spent + head_cost > budget => {
-                    results[i] = Some(Err(InferError::DeadlineExceeded {
-                        spent: enc_spent,
-                        needed: head_cost,
-                        budget,
-                    }));
-                }
-                Ok(enc_spent) => run.push((i, enc_spent)),
-            }
-        }
-        if !run.is_empty() {
-            // Per-request results are independent of batch composition (the
-            // bitwise test below packs every prefix), so a big batch can be
-            // sharded across workers — one spawn per drain instead of one
-            // per kernel — and still produce the same bits at every thread
-            // count. The gate is the batch's own deterministic cost
-            // estimate: small drains keep the single packed pass and the
-            // engine's warm arena.
-            let threads = tpool::effective_threads().min(run.len());
-            let total_work: u64 =
-                run.iter().map(|&(_, s)| s).sum::<u64>() + head_cost * run.len() as u64;
-            if threads > 1 && total_work as usize >= tpool::PAR_WORK_MIN {
-                let shards = tpool::shard_ranges(run.len(), threads);
-                let encoded = &encoded;
-                let run = &run;
-                let shard_out = tpool::par_map(shards.len(), |s| {
-                    let mut local = ScratchArena::new();
-                    self.packed_forward(encoded, &run[shards[s].clone()], head_cost, &mut local)
-                });
-                for (i, r) in shard_out.into_iter().flatten() {
-                    results[i] = Some(Ok(r));
-                }
-            } else {
-                for (i, r) in self.packed_forward(&encoded, &run, head_cost, arena) {
-                    results[i] = Some(Ok(r));
-                }
-            }
-        }
-        results.into_iter().map(|r| r.expect("every request resolved")).collect()
-    }
-
-    /// One packed forward over `run` (indices into `encoded` plus their
-    /// planned encoder spend): the layer projections and the classifier
-    /// head each execute as a single GEMM across the shard, with scratch
-    /// drawn from `arena`. Returns `(request_index, (logits, spent))` per
-    /// entry, bitwise identical to per-request [`FmClassifier::logits_within`].
-    fn packed_forward(
-        &self,
-        encoded: &[Vec<usize>],
-        run: &[(usize, u64)],
-        head_cost: u64,
-        arena: &mut ScratchArena,
-    ) -> Vec<(usize, (Vec<f32>, u64))> {
-        let seqs: Vec<&[usize]> = run.iter().map(|&(i, _)| encoded[i].as_slice()).collect();
-        let (hidden, bounds) = self.encoder.forward_inference_batch(&seqs, arena);
-        let mut pooled = arena.take(run.len(), self.encoder.config.d_model);
-        for (j, _) in run.iter().enumerate() {
-            // Pool straight off the packed hidden rows — the same
-            // per-element operations `pool` applies to a materialised
-            // row slice (CLS copy, or ascending-row sum then scale), so
-            // the same bits without the copies.
-            let (r0, r1) = (bounds[j], bounds[j + 1]);
-            let prow = pooled.row_mut(j);
-            match self.pooling {
-                Pooling::Cls => prow.copy_from_slice(hidden.row(r0)),
-                Pooling::Mean => {
-                    for r in r0..r1 {
-                        for (o, v) in prow.iter_mut().zip(hidden.row(r)) {
-                            *o += v;
-                        }
-                    }
-                    let inv = 1.0 / (r1 - r0) as f32;
-                    for o in prow.iter_mut() {
-                        *o *= inv;
-                    }
-                }
-            }
-        }
-        arena.put(hidden);
-        let logits_m = self.head.forward_inference(&pooled);
-        arena.put(pooled);
-        run.iter()
-            .enumerate()
-            .map(|(j, &(i, enc_spent))| (i, (logits_m.row(j).to_vec(), enc_spent + head_cost)))
-            .collect()
+    /// Deadline-aware logits: plans the encoder's charges against `budget`
+    /// ([`Encoder::plan_inference_cost`]) before running it, then charges
+    /// the head, returning a typed [`InferError`] for the first charge the
+    /// budget cannot cover. On success also reports the cost spent. Never
+    /// panics — empty post-encoding sequences surface as
+    /// [`InferError::EmptyInput`].
+    pub fn logits_within(&self, tokens: &[String], budget: u64) -> CostedLogits {
+        let (pooled, spent) = self.backbone.pooled_within(tokens, budget)?;
+        self.head.logits_within(&pooled, spent, budget)
     }
 
     /// Predicted class ids for a batch of sequences. Examples are sharded
@@ -849,7 +693,7 @@ impl FmClassifier {
 
     /// Softmax class probabilities.
     pub fn probabilities(&self, tokens: &[String]) -> Vec<f32> {
-        let mut m = Matrix::from_vec(1, self.n_classes, self.logits(tokens));
+        let mut m = Matrix::from_vec(1, self.head.n_classes, self.logits(tokens));
         m.softmax_rows();
         m.row(0).to_vec()
     }
@@ -857,9 +701,7 @@ impl FmClassifier {
     /// Pooled embedding (pre-head), used by the OOD detectors. Uses the
     /// same pooling the head was trained with.
     pub fn embed(&self, tokens: &[String]) -> Vec<f32> {
-        let ids = encode_context(&self.vocab, tokens, self.max_len);
-        let hidden = self.encoder.forward_inference(&ids);
-        pool(&hidden, self.pooling).row(0).to_vec()
+        self.backbone.pooled(&self.backbone.encode(tokens)).into_data()
     }
 
     /// Evaluate on examples, returning the confusion matrix. Predictions
@@ -870,25 +712,39 @@ impl FmClassifier {
             examples.iter().map(|e| self.inference_cost(e.tokens.len()) as usize).sum();
         let preds =
             tpool::par_map_work(examples.len(), work, |i| self.predict(&examples[i].tokens));
-        let mut c = crate::metrics::Confusion::new(self.n_classes);
+        let mut c = crate::metrics::Confusion::new(self.head.n_classes);
         for (e, p) in examples.iter().zip(preds) {
             c.add(e.label, p);
         }
         c
     }
 
-    /// The shared backbone view of this classifier — its encoder,
-    /// vocabulary, sequence cap, and pooling, cloned without the head.
-    /// Heads fine-tuned against this backbone ([`TaskHead::fine_tune`])
-    /// share one encoder forward at serving time
+    /// Pair a shared backbone with a head without copying the backbone —
+    /// how [`crate::serve::MultiTaskServer`] lanes share one encoder.
+    pub(crate) fn new(backbone: Arc<FmBackbone>, head: TaskHead) -> FmClassifier {
+        FmClassifier { backbone, head }
+    }
+
+    /// The backbone of this classifier: its encoder, vocabulary, sequence
+    /// cap, and pooling. Heads fine-tuned against it
+    /// ([`TaskHead::fine_tune`]) share one encoder forward at serving time
     /// ([`crate::serve::MultiTaskServer`]).
-    pub fn backbone(&self) -> FmBackbone {
-        FmBackbone {
-            encoder: self.encoder.clone(),
-            vocab: self.vocab.clone(),
-            max_len: self.max_len,
-            pooling: self.pooling,
-        }
+    pub fn backbone(&self) -> &FmBackbone {
+        &self.backbone
+    }
+
+    /// The classification head.
+    pub fn head(&self) -> &TaskHead {
+        &self.head
+    }
+
+    /// Mutable access to the encoder — the hook fault-injection harnesses
+    /// poison weights through, and the training-mode forward
+    /// [`crate::interpret::attention_rollout`] runs. A backbone shared with
+    /// other classifiers is copied first ([`Arc::make_mut`]), so no other
+    /// holder's weights change.
+    pub fn encoder_mut(&mut self) -> &mut Encoder {
+        &mut Arc::make_mut(&mut self.backbone).encoder
     }
 }
 
@@ -911,7 +767,7 @@ pub struct FmBackbone {
     pub pooling: Pooling,
 }
 
-/// The packed pooled embeddings for one micro-batch, produced by
+/// The pooled embeddings of a batch of requests, produced by
 /// [`FmBackbone::pooled_batch_within`]. `pooled` is drawn from the
 /// caller's [`ScratchArena`]; return it with [`ScratchArena::put`] once
 /// the task heads have consumed it.
@@ -957,71 +813,63 @@ impl FmBackbone {
     /// classifier head-only fine-tuning produced — the identity `exp_e19`
     /// and the multi-task proptests assert bitwise.
     pub fn attach(&self, head: &TaskHead) -> FmClassifier {
-        FmClassifier {
-            encoder: self.encoder.clone(),
-            head: head.head.clone(),
-            vocab: self.vocab.clone(),
-            max_len: self.max_len,
-            n_classes: head.n_classes,
-            pooling: self.pooling,
-        }
+        FmClassifier::new(Arc::new(self.clone()), head.clone())
     }
 
-    /// Run the shared encoder once for a whole micro-batch and pool each
-    /// request's hidden states, under a per-request deadline `budget`.
-    ///
-    /// Each request's charge schedule is first replayed without compute
-    /// ([`Encoder::plan_inference_cost`]), so requests the budget cannot
-    /// cover surface their exact deterministic [`InferError`] in
-    /// `refused` without holding up the batch. The affordable remainder
-    /// runs through one packed [`Encoder::forward_inference_batch`], and
-    /// pooling applies the same per-element operations as the
-    /// single-request path, so every row of `pooled` is bitwise identical
-    /// to what [`FmClassifier::logits_within`] pools for that request.
+    /// Model input ids for a token sequence.
+    fn encode(&self, tokens: &[String]) -> Vec<usize> {
+        encode_context(&self.vocab, tokens, self.max_len)
+    }
+
+    /// The pooled embedding (1 × d_model) every head reads: one
+    /// [`Encoder::forward_inference`] over `ids`, pooled the way the heads
+    /// were trained.
+    fn pooled(&self, ids: &[usize]) -> Matrix {
+        pool(&self.encoder.forward_inference(ids), self.pooling)
+    }
+
+    /// The encoder half of a budgeted request: plan the encoder's charges
+    /// against `budget` ([`Encoder::plan_inference_cost`]), and only if
+    /// they fit run the forward and pool. Returns the pooled embedding and
+    /// the encoder cost spent, or the plan's typed refusal.
+    pub(crate) fn pooled_within(
+        &self,
+        tokens: &[String],
+        budget: u64,
+    ) -> Result<(Matrix, u64), InferError> {
+        let ids = self.encode(tokens);
+        let spent = self.encoder.plan_inference_cost(ids.len(), budget)?;
+        Ok((self.pooled(&ids), spent))
+    }
+
+    /// Pool each request of a batch under a per-request deadline
+    /// `budget`: requests the budget cannot cover surface their typed
+    /// [`InferError`] in `refused`, and every other request runs one
+    /// encoder forward, so each row of `pooled` is bitwise what
+    /// [`FmClassifier::logits_within`] pools for that request.
     pub fn pooled_batch_within(
         &self,
         batch: &[&[String]],
         budget: u64,
         arena: &mut ScratchArena,
     ) -> PooledBatch {
-        let encoded: Vec<Vec<usize>> =
-            batch.iter().map(|t| encode_context(&self.vocab, t, self.max_len)).collect();
+        let mut rows = Vec::with_capacity(batch.len());
+        let mut embeddings = Vec::with_capacity(batch.len());
         let mut refused = Vec::new();
-        let mut run: Vec<(usize, u64)> = Vec::with_capacity(batch.len());
-        for (i, ids) in encoded.iter().enumerate() {
-            match self.encoder.plan_inference_cost(ids.len(), budget) {
-                Err(e) => refused.push((i, e)),
-                Ok(enc_spent) => run.push((i, enc_spent)),
-            }
-        }
-        let mut pooled = arena.take(run.len(), self.d_model());
-        if !run.is_empty() {
-            let seqs: Vec<&[usize]> = run.iter().map(|&(i, _)| encoded[i].as_slice()).collect();
-            let (hidden, bounds) = self.encoder.forward_inference_batch(&seqs, arena);
-            for (j, _) in run.iter().enumerate() {
-                // Pool straight off the packed hidden rows — the same
-                // per-element operations as the single-request `pool`, so
-                // the same bits without the copies.
-                let (r0, r1) = (bounds[j], bounds[j + 1]);
-                let prow = pooled.row_mut(j);
-                match self.pooling {
-                    Pooling::Cls => prow.copy_from_slice(hidden.row(r0)),
-                    Pooling::Mean => {
-                        for r in r0..r1 {
-                            for (o, v) in prow.iter_mut().zip(hidden.row(r)) {
-                                *o += v;
-                            }
-                        }
-                        let inv = 1.0 / (r1 - r0) as f32;
-                        for o in prow.iter_mut() {
-                            *o *= inv;
-                        }
-                    }
+        for (i, tokens) in batch.iter().enumerate() {
+            match self.pooled_within(tokens, budget) {
+                Ok((embedding, spent)) => {
+                    rows.push((i, spent));
+                    embeddings.push(embedding);
                 }
+                Err(e) => refused.push((i, e)),
             }
-            arena.put(hidden);
         }
-        PooledBatch { pooled, rows: run, refused }
+        let mut pooled = arena.take(rows.len(), self.d_model());
+        for (j, embedding) in embeddings.iter().enumerate() {
+            pooled.row_mut(j).copy_from_slice(embedding.row(0));
+        }
+        PooledBatch { pooled, rows, refused }
     }
 }
 
@@ -1061,24 +909,8 @@ impl TaskHead {
         }
         let mut config = config.clone();
         config.freeze_encoder = true;
-        config.pooling = backbone.pooling;
-        let mut init_rng = StdRng::seed_from_u64(config.seed);
-        let head = ClsHead::new(&mut init_rng, backbone.d_model(), n_classes);
-        let clf = FmClassifier::fine_tune_loop(
-            backbone.encoder.clone(),
-            head,
-            backbone.vocab.clone(),
-            backbone.max_len,
-            examples,
-            n_classes,
-            &config,
-        )?;
-        Ok(TaskHead {
-            name: name.to_string(),
-            head: clf.head,
-            n_classes,
-            pooling: backbone.pooling,
-        })
+        let head = TaskHead::init(name, backbone, n_classes, config.seed);
+        Ok(FmClassifier::fine_tune_loop(backbone.clone(), head, examples, &config)?.head)
     }
 
     /// Continue training this head (warm start) against the same frozen
@@ -1096,32 +928,23 @@ impl TaskHead {
         }
         let mut config = config.clone();
         config.freeze_encoder = true;
-        config.pooling = backbone.pooling;
-        let clf = FmClassifier::fine_tune_loop(
-            backbone.encoder.clone(),
-            self.head.clone(),
-            backbone.vocab.clone(),
-            backbone.max_len,
-            examples,
-            self.n_classes,
-            &config,
-        )?;
-        Ok(TaskHead {
-            name: self.name.clone(),
-            head: clf.head,
-            n_classes: self.n_classes,
-            pooling: backbone.pooling,
-        })
+        Ok(FmClassifier::fine_tune_loop(backbone.clone(), self.clone(), examples, &config)?.head)
     }
 
     /// Detach the head of an existing fine-tuned classifier (e.g. one
     /// trained with `freeze_encoder` before heads were first-class).
     pub fn from_classifier(clf: &FmClassifier, name: &str) -> TaskHead {
+        TaskHead { name: name.to_string(), ..clf.head.clone() }
+    }
+
+    /// A freshly initialized head for `backbone`, seeded by `seed`.
+    fn init(name: &str, backbone: &FmBackbone, n_classes: usize, seed: u64) -> TaskHead {
+        let mut rng = StdRng::seed_from_u64(seed);
         TaskHead {
             name: name.to_string(),
-            head: clf.head.clone(),
-            n_classes: clf.n_classes,
-            pooling: clf.pooling,
+            head: ClsHead::new(&mut rng, backbone.d_model(), n_classes),
+            n_classes,
+            pooling: backbone.pooling,
         }
     }
 
@@ -1146,6 +969,28 @@ impl TaskHead {
     /// single-request head forward inside [`FmClassifier::logits_within`].
     pub fn logits_batch(&self, pooled: &Matrix) -> Matrix {
         self.head.forward_inference(pooled)
+    }
+
+    /// The head half of a budgeted request: charge this head against
+    /// `budget` on top of the encoder's `enc_spent`, and only if it fits
+    /// run it on the one-row `pooled` embedding. Returns the logits and the
+    /// total cost, or the [`InferError::DeadlineExceeded`] naming the head
+    /// charge.
+    pub(crate) fn logits_within(
+        &self,
+        pooled: &Matrix,
+        enc_spent: u64,
+        budget: u64,
+    ) -> CostedLogits {
+        let head_cost = self.head_cost(pooled.cols());
+        if enc_spent + head_cost > budget {
+            return Err(InferError::DeadlineExceeded {
+                spent: enc_spent,
+                needed: head_cost,
+                budget,
+            });
+        }
+        Ok((self.logits_batch(pooled).into_data(), enc_spent + head_cost))
     }
 
     /// Serialize the head (name + class count + pooling + weights) to a
@@ -1305,9 +1150,9 @@ mod tests {
         let path = dir.join("clf.nfmc");
         clf.save(&path).expect("save");
         let loaded = FmClassifier::load(&path).expect("load");
-        assert_eq!(loaded.max_len, clf.max_len);
-        assert_eq!(loaded.n_classes, clf.n_classes);
-        assert_eq!(loaded.pooling, clf.pooling);
+        assert_eq!(loaded.backbone().max_len, clf.backbone().max_len);
+        assert_eq!(loaded.head().n_classes, clf.head().n_classes);
+        assert_eq!(loaded.backbone().pooling, clf.backbone().pooling);
         let toks = &train[0].tokens;
         let (a, b) = (clf.logits(toks), loaded.logits(toks));
         assert_eq!(
@@ -1323,68 +1168,6 @@ mod tests {
     }
 
     #[test]
-    fn logits_batch_within_matches_logits_within_bitwise() {
-        let (fm, _) = tiny_fm();
-        let train: Vec<TextExample> = (0..10)
-            .map(|i| TextExample {
-                tokens: vec![if i % 2 == 0 { "PORT_53" } else { "PORT_443" }.to_string()],
-                label: i % 2,
-            })
-            .collect();
-        let long: Vec<String> = (0..60).map(|i| format!("tok{}", i % 7)).collect();
-        let batch: Vec<Vec<String>> = vec![
-            vec!["PORT_53".to_string()],
-            vec!["IP4".to_string(), "PROTO_UDP".to_string(), "PORT_443".to_string()],
-            long, // clamps to max_len
-            vec!["PORT_443".to_string(), "PORT_53".to_string()],
-        ];
-        let refs: Vec<&[String]> = batch.iter().map(|t| t.as_slice()).collect();
-        for pooling in [Pooling::Cls, Pooling::Mean] {
-            let clf = FmClassifier::fine_tune(
-                &fm,
-                &train,
-                2,
-                &FineTuneConfig { pooling, ..FineTuneConfig::default() },
-            )
-            .expect("fine-tuning failed");
-            let mid = clf.inference_cost(batch[0].len());
-            let max = clf.inference_cost(60);
-            let mut arena = ScratchArena::new();
-            // Budgets cover: everything fits, nothing fits, exact-fit
-            // boundary, and a mix where short requests fit but long ones
-            // exceed the deadline.
-            for budget in [u64::MAX, 0, mid, mid - 1, mid + 1, max, max - 1] {
-                // Two passes per budget: the second runs on a warm arena.
-                for pass in 0..2 {
-                    let got = clf.logits_batch_within(&refs, budget, &mut arena);
-                    for (i, tokens) in batch.iter().enumerate() {
-                        let want = clf.logits_within(tokens, budget);
-                        match (&got[i], &want) {
-                            (Ok((gl, gc)), Ok((wl, wc))) => {
-                                assert_eq!(gc, wc, "cost (req {i}, budget {budget})");
-                                assert_eq!(
-                                    gl.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                                    wl.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                                    "logits must be bitwise identical \
-                                     (req {i}, budget {budget}, pass {pass})"
-                                );
-                            }
-                            (Err(ge), Err(we)) => {
-                                assert_eq!(ge, we, "error (req {i}, budget {budget})");
-                            }
-                            (g, w) => panic!(
-                                "outcome diverged for req {i} at budget {budget}: \
-                                 batch={g:?} single={w:?}"
-                            ),
-                        }
-                    }
-                }
-            }
-            assert!(arena.available() > 0, "arena retains warm buffers");
-        }
-    }
-
-    #[test]
     fn predict_tolerates_nan_logits() {
         let (fm, _) = tiny_fm();
         let train: Vec<TextExample> = (0..10)
@@ -1397,14 +1180,14 @@ mod tests {
             .expect("fine-tuning failed");
         // Poison the head so every logit is NaN: predict must still return
         // a deterministic class (0) instead of panicking.
-        clf.head.visit_params(&mut |p, _| p.fill(f32::NAN));
+        clf.head.network_mut().visit_params(&mut |p, _| p.fill(f32::NAN));
         let logits = clf.logits(&train[0].tokens);
         assert!(logits.iter().all(|v| v.is_nan()));
         assert_eq!(clf.predict(&train[0].tokens), 0);
     }
 
     #[test]
-    fn predict_within_budget_agrees_with_predict_and_misses_deadlines() {
+    fn logits_within_budget_agrees_with_logits_and_misses_deadlines() {
         let (fm, _) = tiny_fm();
         let train: Vec<TextExample> = (0..10)
             .map(|i| TextExample {
@@ -1416,13 +1199,25 @@ mod tests {
             .expect("fine-tuning failed");
         let tokens = &train[0].tokens;
         let cost = clf.inference_cost(tokens.len());
-        let (class, spent) = clf.predict_within(tokens, cost).expect("budget covers the cost");
-        assert_eq!(class, clf.predict(tokens));
+        let (logits, spent) = clf.logits_within(tokens, cost).expect("budget covers the cost");
+        assert_eq!(
+            logits.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            clf.logits(tokens).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        );
         assert_eq!(spent, cost, "cost model matches metered spend");
-        // A budget one unit short is a deterministic deadline miss.
-        let err = clf.predict_within(tokens, cost - 1).expect_err("short budget");
-        assert!(matches!(err, InferError::DeadlineExceeded { .. }));
-        assert_eq!(clf.predict_within(tokens, cost - 1).unwrap_err(), err);
+        // A budget one unit short is a deterministic deadline miss on the
+        // head charge, after the encoder's.
+        let enc_cost = clf.backbone().encoder_cost(tokens.len());
+        let err = clf.logits_within(tokens, cost - 1).expect_err("short budget");
+        assert_eq!(
+            err,
+            InferError::DeadlineExceeded {
+                spent: enc_cost,
+                needed: cost - enc_cost,
+                budget: cost - 1
+            }
+        );
+        assert_eq!(clf.logits_within(tokens, cost - 1).unwrap_err(), err);
     }
 
     #[test]
@@ -1466,7 +1261,10 @@ mod tests {
         )
         .expect("fine-tuning failed");
         // Encoder unchanged relative to the foundation model.
-        assert_eq!(clf.encoder.token_embeddings().data(), fm.encoder.token_embeddings().data());
+        assert_eq!(
+            clf.backbone().encoder.token_embeddings().data(),
+            fm.encoder.token_embeddings().data()
+        );
     }
 
     #[test]
@@ -1503,7 +1301,7 @@ mod tests {
         let e_cls = cls.embed(&train[0].tokens);
         let e_mean = mean.embed(&train[0].tokens);
         assert_ne!(e_cls, e_mean);
-        assert_eq!(mean.pooling, Pooling::Mean);
+        assert_eq!(mean.backbone().pooling, Pooling::Mean);
     }
 
     #[test]
@@ -1524,7 +1322,10 @@ mod tests {
         .expect("fine-tuning failed");
         // Token table identical to the pre-trained one even though the
         // encoder layers trained.
-        assert_eq!(clf.encoder.token_embeddings().data(), fm.encoder.token_embeddings().data());
+        assert_eq!(
+            clf.backbone().encoder.token_embeddings().data(),
+            fm.encoder.token_embeddings().data()
+        );
     }
 
     #[test]
@@ -1547,8 +1348,10 @@ mod tests {
         tpool::set_threads(0);
         let bits = |c: &mut FmClassifier| {
             let mut out = Vec::new();
-            c.encoder.visit_params(&mut |p, _| out.extend(p.iter().map(|v| v.to_bits())));
-            c.head.visit_params(&mut |p, _| out.extend(p.iter().map(|v| v.to_bits())));
+            c.encoder_mut().visit_params(&mut |p, _| out.extend(p.iter().map(|v| v.to_bits())));
+            c.head
+                .network_mut()
+                .visit_params(&mut |p, _| out.extend(p.iter().map(|v| v.to_bits())));
             out
         };
         assert_eq!(
@@ -1606,14 +1409,16 @@ mod tests {
         // Head-only fine-tuning through the classifier API...
         let clf = FmClassifier::fine_tune(&fm, &train, 3, &cfg).expect("classifier fine-tune");
         // ...and through the backbone/head split.
-        let backbone = clf.backbone();
+        let backbone = clf.backbone().clone();
         let head = TaskHead::fine_tune(&backbone, "t", &train, 3, &cfg).expect("head fine-tune");
         let mut reattached = backbone.attach(&head);
         let mut direct = clf;
         let bits = |c: &mut FmClassifier| {
             let mut out = Vec::new();
-            c.encoder.visit_params(&mut |p, _| out.extend(p.iter().map(|v| v.to_bits())));
-            c.head.visit_params(&mut |p, _| out.extend(p.iter().map(|v| v.to_bits())));
+            c.encoder_mut().visit_params(&mut |p, _| out.extend(p.iter().map(|v| v.to_bits())));
+            c.head
+                .network_mut()
+                .visit_params(&mut |p, _| out.extend(p.iter().map(|v| v.to_bits())));
             out
         };
         assert_eq!(
@@ -1639,7 +1444,7 @@ mod tests {
         let cfg = FineTuneConfig { epochs: 1, pooling: Pooling::Mean, ..FineTuneConfig::default() };
         let clf = FmClassifier::fine_tune(&fm, &train, 2, &cfg).expect("fine-tune");
         let backbone = clf.backbone();
-        let head = TaskHead::fine_tune(&backbone, "roundtrip", &train, 2, &cfg).expect("head");
+        let head = TaskHead::fine_tune(backbone, "roundtrip", &train, 2, &cfg).expect("head");
         let dir = std::env::temp_dir().join(format!("nfm_task_head_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("head.nfmc");
@@ -1683,7 +1488,7 @@ mod tests {
         let heads: Vec<TaskHead> = [("a", 2usize), ("b", 3), ("c", 5)]
             .iter()
             .map(|&(name, n)| {
-                TaskHead::fine_tune(&backbone, name, &head_train(n), n, &cfg).expect("head")
+                TaskHead::fine_tune(backbone, name, &head_train(n), n, &cfg).expect("head")
             })
             .collect();
         // Varied-length contexts (some past max_len, some unknown tokens)

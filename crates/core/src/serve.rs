@@ -14,9 +14,10 @@
 //!    decisions bit for bit.
 //! 2. **Per-request deadline budgets** — deadlines are metered in the
 //!    deterministic cost units of
-//!    [`Encoder::forward_inference_within`](nfm_model::nn::transformer::Encoder::forward_inference_within)
-//!    (a multiply-accumulate proxy for wall time), so a request that misses
-//!    its deadline misses it identically on every run.
+//!    [`Encoder::plan_inference_cost`](nfm_model::nn::transformer::Encoder::plan_inference_cost)
+//!    (a multiply-accumulate proxy for wall time) and planned before any
+//!    compute runs, so a request that misses its deadline misses it
+//!    identically on every run.
 //! 3. **Retry with backoff** — transient model faults are retried a bounded
 //!    number of times, each retry charging a growing backoff cost against
 //!    the request's remaining budget. The same policy drives
@@ -35,6 +36,7 @@ use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use std::path::Path;
+use std::sync::Arc;
 
 use nfm_model::context::flow_context;
 use nfm_model::nn::transformer::InferError;
@@ -42,7 +44,6 @@ use nfm_model::tokenize::Tokenizer;
 use nfm_net::capture::{Trace, TracePacket};
 use nfm_net::flow::FlowTable;
 use nfm_tensor::checkpoint::CheckpointError;
-use nfm_tensor::scratch::ScratchArena;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -53,8 +54,8 @@ use crate::pipeline::{
     TextExample,
 };
 
-/// Histogram bucket edges for micro-batch sizes (`serve.batch.size`).
-const BATCH_SIZE_EDGES: &[u64] = &[1, 2, 4, 8, 16, 32, 64];
+/// Histogram bucket edges for per-request task fan-out (`serve.task.fanout`).
+const FANOUT_EDGES: &[u64] = &[1, 2, 4, 8, 16, 32, 64];
 /// Buckets for per-request drift scores (milli-units: confidence part spans
 /// 0..=1000, distance part 0..=4000).
 const DRIFT_EDGES: &[u64] = &[250, 500, 1_000, 1_500, 2_000, 3_000, 4_000, 5_000];
@@ -372,14 +373,6 @@ pub struct ServeConfig {
     pub retry: RetryPolicy,
     /// Circuit-breaker thresholds.
     pub breaker: BreakerConfig,
-    /// Requests per micro-batch when draining the queue (≤ 1 disables
-    /// batching and serves strictly one request at a time).
-    pub max_batch: usize,
-    /// Cap on the summed planned inference cost of one micro-batch, in the
-    /// same deterministic units as `deadline_budget`. A batch always takes
-    /// at least one request, so a tiny cap degrades to unbatched serving
-    /// rather than stalling.
-    pub batch_cost_budget: u64,
     /// Capacity of the drift quarantine buffer (and of the recent-answer
     /// window scored by ground-truth feedback). 0 disables capture.
     pub quarantine_capacity: usize,
@@ -395,8 +388,6 @@ impl Default for ServeConfig {
             seed: 17,
             retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
-            max_batch: 1,
-            batch_cost_budget: u64::MAX,
             quarantine_capacity: 256,
         }
     }
@@ -504,11 +495,6 @@ pub struct TaskSet(u64);
 impl TaskSet {
     /// Every task lane.
     pub const ALL: TaskSet = TaskSet(u64::MAX);
-
-    /// The single task `k` (clamped to the 64 supported lanes).
-    pub fn only(k: usize) -> TaskSet {
-        TaskSet(1u64 << k.min(63))
-    }
 
     /// A set from a raw bitmask (bit `k` = task `k`), e.g. one entry of
     /// [`nfm_traffic::faults::task_mask_schedule`]. An empty mask is kept
@@ -704,7 +690,6 @@ pub struct ServeEngine {
     shed_rng: StdRng,
     stats: ServeStats,
     queue: VecDeque<ServeRequest>,
-    arena: ScratchArena,
     drift: Option<DriftMonitor>,
     quarantine: QuarantineBuffer,
     /// Recent model-answered requests (label = the model's prediction)
@@ -724,7 +709,6 @@ impl ServeEngine {
             shed_rng: StdRng::seed_from_u64(config.seed ^ 0x5E_u64.rotate_left(40)),
             stats: ServeStats::default(),
             queue: VecDeque::with_capacity(config.queue_capacity),
-            arena: ScratchArena::new(),
             drift: None,
             quarantine: QuarantineBuffer::new(config.quarantine_capacity, config.seed),
             recent: VecDeque::new(),
@@ -874,76 +858,16 @@ impl ServeEngine {
         self.answer(request, None)
     }
 
-    /// Answer every queued request, in admission order. With
-    /// `max_batch > 1` the queue drains in micro-batches: each batch's
-    /// token sequences run through the model as one packed forward pass
-    /// ([`FmClassifier::logits_batch_within`]) with scratch buffers reused
-    /// across batches, and every request is then settled individually
-    /// against the breaker/retry/deadline state machine. Responses and
-    /// statistics are bitwise identical to serving the same requests one
-    /// at a time via [`ServeEngine::serve_one`].
+    /// Answer every queued request, in admission order, one at a time
+    /// through the breaker/retry/deadline state machine — the responses
+    /// and statistics [`ServeEngine::serve_one`] gives for the same
+    /// requests in turn.
     pub fn drain_queue(&mut self) -> Vec<Response> {
         let mut responses = Vec::with_capacity(self.queue.len());
-        if self.config.max_batch <= 1 {
-            while let Some(req) = self.queue.pop_front() {
-                responses.push(self.answer(req, None));
-            }
-            return responses;
-        }
-        while !self.queue.is_empty() {
-            let batch = self.next_batch();
-            let precomputed = self.run_batch(&batch);
-            for (req, pre) in batch.into_iter().zip(precomputed) {
-                responses.push(self.answer(req, pre));
-            }
+        while let Some(req) = self.queue.pop_front() {
+            responses.push(self.answer(req, None));
         }
         responses
-    }
-
-    /// Pop the next micro-batch off the queue: up to `max_batch` requests
-    /// whose summed planned inference cost (the same deterministic units
-    /// as `deadline_budget`) stays within `batch_cost_budget`. The first
-    /// request of a batch is always taken, so an over-budget single
-    /// request degrades to unbatched serving rather than wedging the
-    /// queue.
-    fn next_batch(&mut self) -> Vec<ServeRequest> {
-        let mut batch = Vec::new();
-        let mut planned = 0u64;
-        while batch.len() < self.config.max_batch {
-            let Some(front) = self.queue.front() else { break };
-            let cost = self.clf.inference_cost(front.tokens.len());
-            if !batch.is_empty() && planned.saturating_add(cost) > self.config.batch_cost_budget {
-                break;
-            }
-            planned = planned.saturating_add(cost);
-            batch.push(self.queue.pop_front().expect("front() was Some"));
-        }
-        batch
-    }
-
-    /// Run one micro-batch through the packed forward pass, returning the
-    /// per-request model outcome to replay inside [`ServeEngine::answer`].
-    /// `None` entries mean "compute lazily": a single-request batch gains
-    /// nothing from packing, and while the breaker is open most requests
-    /// will be denied before ever touching the model, so eager batch
-    /// compute would be wasted work (the half-open probe computes lazily
-    /// and identically).
-    #[allow(clippy::type_complexity)]
-    fn run_batch(
-        &mut self,
-        batch: &[ServeRequest],
-    ) -> Vec<Option<Result<(Vec<f32>, u64), InferError>>> {
-        if batch.len() <= 1 || self.breaker.state() == BreakerState::Open {
-            return batch.iter().map(|_| None).collect();
-        }
-        let tokens: Vec<&[String]> = batch.iter().map(|r| r.tokens.as_slice()).collect();
-        let budget = self.config.deadline_budget;
-        let results = self.clf.logits_batch_within(&tokens, budget, &mut self.arena);
-        nfm_obs::counter!("serve.batch.count").inc();
-        nfm_obs::counter!("serve.batch.requests").add(batch.len() as u64);
-        nfm_obs::histogram!("serve.batch.size", nfm_obs::Unit::Count, BATCH_SIZE_EDGES)
-            .observe(batch.len() as u64);
-        results.into_iter().map(Some).collect()
     }
 
     /// Assemble `trace` into requests via [`assemble_requests`], folding the
@@ -987,20 +911,6 @@ impl ServeEngine {
         nfm_obs::gauge!("serve.queue.depth").set(self.queue.len() as f64);
     }
 
-    /// Answer one admitted request: model first (under the breaker, the
-    /// deadline budget, and the retry policy), fallback otherwise. Always
-    /// returns a response.
-    ///
-    /// `pre` is an optional precomputed model outcome from the batched
-    /// forward pass, evaluated at the full `deadline_budget`. Because the
-    /// model is deterministic, every retry of the single-request path
-    /// recomputes the exact same logits at the exact same cost, so one
-    /// budget-level result replays the whole retry ladder: an attempt with
-    /// `remaining` budget succeeds iff the precomputed cost fits, and
-    /// fails with a deadline error otherwise (the serve state machine
-    /// matches the error variant only, so the replayed error's accounting
-    /// fields never influence a response). With `pre = None` the model is
-    /// invoked lazily — and only if the breaker admits the request.
     /// Score one model answer against the drift monitor (when armed):
     /// quarantine suspicious traffic, remember the answer for delayed
     /// feedback, and surface trips. The monitor's embedding forward pass is
@@ -1038,11 +948,21 @@ impl ServeEngine {
         }
     }
 
-    fn answer(
-        &mut self,
-        request: ServeRequest,
-        pre: Option<Result<(Vec<f32>, u64), InferError>>,
-    ) -> Response {
+    /// Answer one admitted request: model first (under the breaker, the
+    /// deadline budget, and the retry policy), fallback otherwise. Always
+    /// returns a response.
+    ///
+    /// `pre` is the drain's precomputed model outcome at the full
+    /// `deadline_budget` ([`MultiTaskServer::drain`] computes it once per
+    /// distinct flow and lane). `None` computes it lazily, and only when
+    /// the breaker admits the request. Because the model is deterministic,
+    /// every retry would recompute the same logits at the same cost, so
+    /// the one outcome replays the whole retry ladder: an attempt with
+    /// `remaining` budget succeeds iff the outcome's cost fits, and fails
+    /// with a deadline error otherwise (the state machine matches the
+    /// error variant only, so the replayed error's accounting fields never
+    /// influence a response).
+    fn answer(&mut self, request: ServeRequest, pre: Option<CostedLogits>) -> Response {
         let budget = self.config.deadline_budget;
         let mut remaining = budget;
         let mut retries_used = 0usize;
@@ -1191,9 +1111,8 @@ pub struct MultiTaskStats {
     pub submitted: usize,
     /// `(request, task)` pairs offered to per-task admission control.
     pub lane_offers: usize,
-    /// Shared micro-batches run through the packed encoder forward.
-    pub batches: usize,
-    /// Packed encoder rows computed (one per distinct flow per batch).
+    /// Shared encoder forwards run (one per distinct affordable flow per
+    /// drain).
     pub encoder_rows: usize,
     /// Per-task head rows computed across all lanes.
     pub head_rows: usize,
@@ -1201,35 +1120,30 @@ pub struct MultiTaskStats {
 
 /// Multi-task serving with shared-encoder fan-out: one frozen
 /// [`FmBackbone`] plus K lightweight [`TaskHead`]s, so answering K tasks
-/// for a flow costs ~1 packed encoder forward + K head GEMMs instead of
-/// K encoder forwards — the paper's amortization argument (§3) at
-/// serving time.
+/// for a flow costs one encoder forward + K head GEMMs instead of K
+/// encoder forwards — the paper's amortization argument (§3) at serving
+/// time.
 ///
 /// Semantically the server is K independent [`ServeEngine`]s (the
 /// *lanes*), one per task, each with its own admission queue, shed RNG,
 /// circuit breaker, retry/deadline state machine, [`ServeStats`], drift
 /// monitor, and quarantine buffer — all seeded exactly as a standalone
-/// engine with the same [`ServeConfig`] would be. Only the *compute* is
+/// engine with the same [`ServeConfig`] would be. Every lane's classifier
+/// holds the server's one backbone allocation. Only the *compute* is
 /// shared: [`MultiTaskServer::drain`] collects every lane's queued work,
-/// runs the packed encoder forward once per distinct flow
-/// ([`FmBackbone::pooled_batch_within`], pooled embeddings cached in the
-/// engine's [`ScratchArena`]), fans the pooled rows out to each task's
-/// head, and replays each lane's answers through the unchanged
-/// [`ServeEngine`] state machine. Responses and statistics are therefore
-/// bitwise identical to K standalone engines fed the same per-task
-/// request streams — the invariant `exp_e19` and the multi-task
+/// runs the encoder once per distinct flow, fans the pooled embedding out
+/// to each task's head, and replays each lane's answers through the
+/// unchanged [`ServeEngine`] state machine. Responses and statistics are
+/// therefore bitwise identical to K standalone engines fed the same
+/// per-task request streams — the invariant `exp_e19` and the multi-task
 /// proptests assert.
 ///
 /// Per-request deadline budgets stay per-task-honest: each lane's answer
 /// is charged its own encoder spend plus its own head cost, exactly as
-/// its standalone engine would charge, while the shared micro-batch is
-/// capped by the *true fan-out cost* (encoder once + every selected
-/// head) against `batch_cost_budget`.
+/// its standalone engine would charge.
 pub struct MultiTaskServer {
-    backbone: FmBackbone,
-    heads: Vec<TaskHead>,
+    backbone: Arc<FmBackbone>,
     lanes: Vec<ServeEngine>,
-    arena: ScratchArena,
     config: ServeConfig,
     stats: MultiTaskStats,
 }
@@ -1247,22 +1161,15 @@ impl MultiTaskServer {
     ) -> MultiTaskServer {
         let mut config = config;
         config.queue_capacity = config.queue_capacity.max(1);
-        let mut tasks = tasks;
-        tasks.truncate(64);
-        let mut heads = Vec::with_capacity(tasks.len());
-        let mut lanes = Vec::with_capacity(tasks.len());
-        for (head, fallback) in tasks {
-            lanes.push(ServeEngine::new(backbone.attach(&head), fallback, config));
-            heads.push(head);
-        }
-        MultiTaskServer {
-            backbone,
-            heads,
-            lanes,
-            arena: ScratchArena::new(),
-            config,
-            stats: MultiTaskStats::default(),
-        }
+        let backbone = Arc::new(backbone);
+        let lanes = tasks
+            .into_iter()
+            .take(64)
+            .map(|(head, fallback)| {
+                ServeEngine::new(FmClassifier::new(Arc::clone(&backbone), head), fallback, config)
+            })
+            .collect();
+        MultiTaskServer { backbone, lanes, config, stats: MultiTaskStats::default() }
     }
 
     /// Number of task lanes.
@@ -1272,7 +1179,7 @@ impl MultiTaskServer {
 
     /// Task names, lane order.
     pub fn task_names(&self) -> Vec<&str> {
-        self.heads.iter().map(|h| h.name.as_str()).collect()
+        self.lanes.iter().map(|l| l.clf.head().name.as_str()).collect()
     }
 
     /// The shared backbone.
@@ -1282,13 +1189,12 @@ impl MultiTaskServer {
 
     /// Task `k`'s head.
     pub fn head(&self, k: usize) -> Option<&TaskHead> {
-        self.heads.get(k)
+        self.lanes.get(k).map(|l| l.clf.head())
     }
 
     /// Task `k`'s serving lane (for inspection: breaker, drift monitor,
-    /// quarantine). Lane model mutation must go through
-    /// [`MultiTaskServer::replace_head`] so the lane's classifier and the
-    /// fan-out head stay the same weights.
+    /// quarantine). Lane models change only through
+    /// [`MultiTaskServer::replace_head`], which keeps the shared backbone.
     pub fn lane(&self, k: usize) -> Option<&ServeEngine> {
         self.lanes.get(k)
     }
@@ -1302,23 +1208,6 @@ impl MultiTaskServer {
     /// The shared fan-out compute ledger.
     pub fn stats(&self) -> MultiTaskStats {
         self.stats
-    }
-
-    /// Deterministic cost (multiply-accumulate units) of fanning one
-    /// `n_tokens`-token request out to the selected `tasks`: the shared
-    /// encoder forward once, plus each selected head. This is the true
-    /// marginal cost of the request, and what the shared micro-batch
-    /// charges against `batch_cost_budget`.
-    pub fn fanout_cost(&self, n_tokens: usize, tasks: TaskSet) -> u64 {
-        let d_model = self.backbone.d_model();
-        let heads: u64 = self
-            .heads
-            .iter()
-            .enumerate()
-            .filter(|&(k, _)| tasks.contains(k))
-            .map(|(_, h)| h.head_cost(d_model))
-            .sum();
-        self.backbone.encoder_cost(n_tokens).saturating_add(heads)
     }
 
     /// Replace the per-request deadline budget on every lane (see
@@ -1367,11 +1256,9 @@ impl MultiTaskServer {
     /// [`ServeEngine::replace_model`]), and no other lane is touched, so
     /// every other task's answers stay bitwise identical.
     pub fn replace_head(&mut self, k: usize, head: TaskHead) {
-        if k >= self.heads.len() {
-            return;
+        if let Some(lane) = self.lanes.get_mut(k) {
+            lane.replace_model(FmClassifier::new(Arc::clone(&self.backbone), head));
         }
-        self.lanes[k].replace_model(self.backbone.attach(&head));
-        self.heads[k] = head;
     }
 
     /// Offer one request to the admission control of every lane in its
@@ -1382,7 +1269,7 @@ impl MultiTaskServer {
         self.stats.submitted += 1;
         nfm_obs::counter!("serve.task.submitted").inc();
         let fanout = request.tasks.count(self.lanes.len());
-        nfm_obs::histogram!("serve.task.fanout", nfm_obs::Unit::Count, BATCH_SIZE_EDGES)
+        nfm_obs::histogram!("serve.task.fanout", nfm_obs::Unit::Count, FANOUT_EDGES)
             .observe(fanout as u64);
         for k in 0..self.lanes.len() {
             if request.tasks.contains(k) {
@@ -1399,15 +1286,10 @@ impl MultiTaskServer {
     /// [`ServeEngine::drain_queue`] would return.
     ///
     /// The drain dissolves the lanes' queues into a list of *distinct*
-    /// flows, chunks it into shared micro-batches (up to `max_batch`
-    /// flows whose summed [`MultiTaskServer::fanout_cost`] fits
-    /// `batch_cost_budget`; the first flow is always taken), runs the
-    /// packed encoder forward once per chunk with pooled embeddings
-    /// cached in the scratch arena, gathers each task's pending rows out
-    /// of the pooled cache ([`ScratchArena::take_gather`]) for one head
-    /// GEMM per task per chunk, and finally replays every lane's answers
-    /// in admission order through the unchanged breaker/retry/deadline
-    /// state machine.
+    /// flows, runs the shared encoder once per flow under the deadline
+    /// budget, runs each queuing task's head once on the pooled
+    /// embedding, and finally replays every lane's answers in admission
+    /// order through the unchanged breaker/retry/deadline state machine.
     pub fn drain(&mut self) -> Vec<Vec<Response>> {
         let mut out: Vec<Vec<Response>> = self.lanes.iter().map(|_| Vec::new()).collect();
         // Dissolve every lane's queue (admission order preserved per lane).
@@ -1437,81 +1319,33 @@ impl MultiTaskServer {
             }
             uniq_of.push(map);
         }
-        // Per-(lane, unique) precomputed outcomes, filled chunk by chunk.
+        // Per-(lane, unique) outcomes: one encoder forward per flow, one
+        // head forward per lane that queued it.
         let budget = self.config.deadline_budget;
-        let d_model = self.backbone.d_model();
-        let mut lane_pre: Vec<std::collections::HashMap<usize, CostedLogits>> =
-            self.lanes.iter().map(|_| std::collections::HashMap::new()).collect();
-        let max_batch = self.config.max_batch.max(1);
-        let mut start = 0usize;
-        while start < uniq.len() {
-            // Chunk boundary: mirror `next_batch`, but charge the true
-            // fan-out cost of each flow (encoder once + selected heads).
-            let mut end = start + 1;
-            let mut planned =
-                self.fanout_cost(uniq[start].tokens.len(), TaskSet::from_mask(need[start]));
-            while end < uniq.len() && end - start < max_batch {
-                let cost = self.fanout_cost(uniq[end].tokens.len(), TaskSet::from_mask(need[end]));
-                if planned.saturating_add(cost) > self.config.batch_cost_budget {
-                    break;
-                }
-                planned = planned.saturating_add(cost);
-                end += 1;
+        let mut lane_pre: Vec<Vec<Option<CostedLogits>>> =
+            vec![vec![None; uniq.len()]; self.lanes.len()];
+        for (u, req) in uniq.iter().enumerate() {
+            let encoded = self.backbone.pooled_within(&req.tokens, budget);
+            if encoded.is_ok() {
+                self.stats.encoder_rows += 1;
+                nfm_obs::counter!("serve.task.encoder_rows").inc();
             }
-            let chunk = &uniq[start..end];
-            let tokens: Vec<&[String]> = chunk.iter().map(|r| r.tokens.as_slice()).collect();
-            let pb = self.backbone.pooled_batch_within(&tokens, budget, &mut self.arena);
-            self.stats.batches += 1;
-            self.stats.encoder_rows += pb.rows.len();
-            nfm_obs::counter!("serve.task.batches").inc();
-            nfm_obs::counter!("serve.task.encoder_rows").add(pb.rows.len() as u64);
-            // Encoder-level refusals replay identically on every lane.
-            for (local, err) in &pb.refused {
-                let u = start + local;
-                for (k, pre) in lane_pre.iter_mut().enumerate() {
-                    if need[u] & (1u64 << k) != 0 {
-                        pre.insert(u, Err(err.clone()));
-                    }
-                }
-            }
-            // Fan the pooled rows out: one gathered head GEMM per task.
-            for (k, pre) in lane_pre.iter_mut().enumerate() {
-                let head_cost = self.heads[k].head_cost(d_model);
-                let mut rows = Vec::new();
-                let mut us = Vec::new();
-                for (row, &(local, enc_spent)) in pb.rows.iter().enumerate() {
-                    let u = start + local;
-                    if need[u] & (1u64 << k) == 0 {
-                        continue;
-                    }
-                    if enc_spent + head_cost > budget {
-                        pre.insert(
-                            u,
-                            Err(InferError::DeadlineExceeded {
-                                spent: enc_spent,
-                                needed: head_cost,
-                                budget,
-                            }),
-                        );
-                    } else {
-                        rows.push(row);
-                        us.push((u, enc_spent));
-                    }
-                }
-                if rows.is_empty() {
+            for (k, lane) in self.lanes.iter().enumerate() {
+                if need[u] & (1u64 << k) == 0 {
                     continue;
                 }
-                let sub = self.arena.take_gather(&pb.pooled, &rows);
-                let logits_m = self.heads[k].logits_batch(&sub);
-                self.arena.put(sub);
-                self.stats.head_rows += us.len();
-                nfm_obs::counter!("serve.task.head_rows").add(us.len() as u64);
-                for (j, &(u, enc_spent)) in us.iter().enumerate() {
-                    pre.insert(u, Ok((logits_m.row(j).to_vec(), enc_spent + head_cost)));
+                let pre = match &encoded {
+                    Ok((pooled, enc_spent)) => {
+                        lane.clf.head().logits_within(pooled, *enc_spent, budget)
+                    }
+                    Err(e) => Err(e.clone()),
+                };
+                if pre.is_ok() {
+                    self.stats.head_rows += 1;
+                    nfm_obs::counter!("serve.task.head_rows").inc();
                 }
+                lane_pre[k][u] = Some(pre);
             }
-            self.arena.put(pb.pooled);
-            start = end;
         }
         nfm_obs::event(
             "serve.task.drain",
@@ -1525,9 +1359,8 @@ impl MultiTaskServer {
         // Settle every lane in admission order through the unchanged
         // serve state machine.
         for (k, reqs) in pending.into_iter().enumerate() {
-            for (pos, req) in reqs.into_iter().enumerate() {
-                let u = uniq_of[k][pos];
-                let pre = lane_pre[k].get(&u).cloned();
+            for (req, &u) in reqs.into_iter().zip(&uniq_of[k]) {
+                let pre = lane_pre[k][u].clone();
                 out[k].push(self.lanes[k].answer(req, pre));
             }
         }
@@ -1814,10 +1647,10 @@ mod tests {
         // Phase 2: poison every encoder weight — logits go NaN.
         let snapshot: Vec<Vec<f32>> = {
             let mut params = Vec::new();
-            engine.model_mut().encoder.visit_params(&mut |p, _| params.push(p.to_vec()));
+            engine.model_mut().encoder_mut().visit_params(&mut |p, _| params.push(p.to_vec()));
             params
         };
-        engine.model_mut().encoder.visit_params(&mut |p, _| p.fill(f32::NAN));
+        engine.model_mut().encoder_mut().visit_params(&mut |p, _| p.fill(f32::NAN));
         let degraded = drain(&mut engine, &trace);
         assert!(!degraded.is_empty());
         assert!(degraded.iter().all(|r| r.responder == Responder::Fallback));
@@ -1828,7 +1661,7 @@ mod tests {
         assert_eq!(mid.answered_model + mid.answered_fallback, mid.admitted);
         // Phase 3: heal the weights; half-open probes recover the breaker.
         let mut slot = 0usize;
-        engine.model_mut().encoder.visit_params(&mut |p, _| {
+        engine.model_mut().encoder_mut().visit_params(&mut |p, _| {
             p.copy_from_slice(&snapshot[slot]);
             slot += 1;
         });
@@ -1911,93 +1744,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_drain_queue_matches_unbatched_and_serve_one_bitwise() {
-        let (clf, _, trace) = tiny_engine_parts();
-        let tok = FieldTokenizer::new();
-        let (requests, _) = assemble_requests(&trace, &tok, 64);
-        assert!(requests.len() > 8, "need a non-trivial batch");
-        let config =
-            ServeConfig { queue_capacity: 256, shed_watermark: 256, ..ServeConfig::default() };
-        let run = |max_batch: usize, batch_cost_budget: u64| {
-            let mut engine = ServeEngine::new(
-                clf.clone(),
-                Fallback::Majority(MajorityBaseline::fit(&[], 2)),
-                ServeConfig { max_batch, batch_cost_budget, ..config },
-            );
-            for r in requests.iter().cloned() {
-                engine.submit(r);
-            }
-            (engine.drain_queue(), engine.stats())
-        };
-        let (r1, s1) = run(1, u64::MAX);
-        // serve_one on a fresh engine answers identically (admission stats
-        // aside — serve_one bypasses the queue).
-        let mut solo = ServeEngine::new(
-            clf.clone(),
-            Fallback::Majority(MajorityBaseline::fit(&[], 2)),
-            config,
-        );
-        let r_solo: Vec<Response> = requests.iter().cloned().map(|r| solo.serve_one(r)).collect();
-        assert_eq!(r1, r_solo, "queued and hedged paths agree");
-        for (max_batch, batch_cost_budget) in
-            [(4, u64::MAX), (8, u64::MAX), (requests.len() + 1, u64::MAX), (8, 1), (8, 250_000)]
-        {
-            let (rb, sb) = run(max_batch, batch_cost_budget);
-            assert_eq!(r1, rb, "batched responses (max_batch={max_batch})");
-            assert_eq!(s1, sb, "batched stats (max_batch={max_batch})");
-        }
-    }
-
-    #[test]
-    fn batched_serve_trace_matches_unbatched_under_faults() {
-        let (clf, _, trace) = tiny_engine_parts();
-        let (noisy, _) = inject(&trace, &FaultConfig::noisy(5));
-        let schedule = burst_schedule(
-            10_000,
-            &FaultConfig { burst_chance: 0.4, max_burst: 12, seed: 8, ..FaultConfig::default() },
-        );
-        let tok = FieldTokenizer::new();
-        let base = ServeConfig {
-            queue_capacity: 6,
-            shed_watermark: 3,
-            deadline_budget: 2_000_000,
-            breaker: BreakerConfig { failure_threshold: 2, cooldown: 3, probes_to_close: 1 },
-            retry: RetryPolicy { max_retries: 1, ..RetryPolicy::default() },
-            ..ServeConfig::default()
-        };
-        let run = |max_batch: usize| {
-            let mut engine = ServeEngine::new(
-                clf.clone(),
-                Fallback::Majority(MajorityBaseline::fit(&[], 2)),
-                ServeConfig { max_batch, ..base },
-            );
-            // Healthy traffic, then NaN-poisoned weights (breaker trips,
-            // fallback answers), then healed weights (half-open recovery).
-            let mut all = engine.serve_trace(&noisy, &tok, &schedule);
-            let snapshot: Vec<Vec<f32>> = {
-                let mut params = Vec::new();
-                engine.model_mut().encoder.visit_params(&mut |p, _| params.push(p.to_vec()));
-                params
-            };
-            engine.model_mut().encoder.visit_params(&mut |p, _| p.fill(f32::NAN));
-            all.extend(engine.serve_trace(&noisy, &tok, &schedule));
-            let mut slot = 0usize;
-            engine.model_mut().encoder.visit_params(&mut |p, _| {
-                p.copy_from_slice(&snapshot[slot]);
-                slot += 1;
-            });
-            all.extend(engine.serve_trace(&noisy, &tok, &schedule));
-            (all, engine.stats())
-        };
-        let (r1, s1) = run(1);
-        let (r8, s8) = run(8);
-        assert!(s1.breaker_trips >= 1, "fault schedule must exercise the breaker");
-        assert!(s1.shed > 0, "bursts against a short queue must shed");
-        assert_eq!(s1, s8, "stats identical across batching modes");
-        assert_eq!(r1, r8, "responses identical across batching modes");
-    }
-
-    #[test]
     fn gru_fallback_answers_when_breaker_is_open() {
         use crate::baselines::{BaselineConfig, BaselineKind};
         let (clf, _, trace) = tiny_engine_parts();
@@ -2022,8 +1768,8 @@ mod tests {
                 ..ServeConfig::default()
             },
         );
-        assert_eq!(engine.model().n_classes, 2);
-        engine.model_mut().encoder.visit_params(&mut |p, _| p.fill(f32::NAN));
+        assert_eq!(engine.model().head().n_classes, 2);
+        engine.model_mut().encoder_mut().visit_params(&mut |p, _| p.fill(f32::NAN));
         let responses = drain(&mut engine, &trace);
         assert!(!responses.is_empty());
         assert!(responses.iter().all(|r| r.responder == Responder::Fallback));
@@ -2038,7 +1784,7 @@ mod tests {
     /// tests can assemble `(head, fallback)` lists as many times as needed.
     fn tiny_multitask_parts() -> (FmBackbone, Vec<TaskHead>, Vec<MajorityBaseline>, Trace) {
         let (clf, _, trace) = tiny_engine_parts();
-        let backbone = clf.backbone();
+        let backbone = clf.backbone().clone();
         let mk_train = |n_classes: usize| -> Vec<TextExample> {
             (0..12)
                 .map(|i| TextExample {
@@ -2109,13 +1855,11 @@ mod tests {
         let (backbone, heads, priors, trace) = tiny_multitask_parts();
         let tok = FieldTokenizer::new();
         // Deadline tight enough that long flows refuse at the encoder plan
-        // while short ones pass; batching and shedding both exercised.
+        // while short ones pass; shedding exercised too.
         let config = ServeConfig {
             queue_capacity: 8,
             shed_watermark: 5,
             deadline_budget: backbone.encoder_cost(40) + 64,
-            max_batch: 4,
-            batch_cost_budget: 3 * backbone.encoder_cost(40),
             seed: 41,
             ..ServeConfig::default()
         };
@@ -2142,7 +1886,7 @@ mod tests {
         }
         let mt = server.stats();
         assert_eq!(mt.submitted, requests.len());
-        assert!(mt.batches > 0 && mt.encoder_rows > 0 && mt.head_rows > 0);
+        assert!(mt.encoder_rows > 0 && mt.head_rows > 0);
         let agg = server.task_stats();
         assert!(agg.iter().any(|s| s.answered_model > 0), "some flows fit the deadline");
         assert!(
@@ -2163,7 +1907,7 @@ mod tests {
     fn replace_head_swaps_one_lane_only() {
         let (backbone, heads, priors, trace) = tiny_multitask_parts();
         let tok = FieldTokenizer::new();
-        let config = ServeConfig { seed: 13, max_batch: 4, ..ServeConfig::default() };
+        let config = ServeConfig { seed: 13, ..ServeConfig::default() };
         let (requests, _) = assemble_requests(&trace, &tok, config.max_tokens);
 
         // Fine-tune a replacement head for task 0 on inverted labels.
@@ -2190,5 +1934,46 @@ mod tests {
 
         assert_ne!(baseline[0], patched[0], "task 0 must serve the new head");
         assert_eq!(baseline[1], patched[1], "task 1 is untouched by task 0's rollout");
+    }
+
+    #[test]
+    fn engines_and_lanes_share_one_backbone() {
+        let (clf, fallback, trace) = tiny_engine_parts();
+        let config = ServeConfig::default();
+        let mut poisoned = ServeEngine::new(clf.clone(), fallback, config);
+        let mut healthy = ServeEngine::new(
+            clf.clone(),
+            Fallback::Majority(MajorityBaseline::fit(&[], 2)),
+            config,
+        );
+        let shared = |a: &ServeEngine, b: &ServeEngine| {
+            std::ptr::eq(a.model().backbone(), b.model().backbone())
+        };
+        assert!(shared(&poisoned, &healthy), "clones of one classifier share one backbone");
+        let bits = |e: &ServeEngine| {
+            let mut encoder = e.model().backbone().encoder.clone();
+            let mut out = Vec::new();
+            encoder.visit_params(&mut |p, _| out.extend(p.iter().map(|v| v.to_bits())));
+            out
+        };
+        let (bits_before, answers_before) = (bits(&healthy), drain(&mut healthy, &trace));
+
+        poisoned.model_mut().encoder_mut().visit_params(&mut |p, _| p.fill(f32::NAN));
+        assert!(!shared(&poisoned, &healthy), "mutable access copies the backbone first");
+        assert!(drain(&mut poisoned, &trace).iter().all(|r| r.responder == Responder::Fallback));
+        assert_eq!(bits(&healthy), bits_before, "the other engine's weights are unchanged");
+        assert_eq!(drain(&mut healthy, &trace), answers_before, "and so are its answers");
+
+        // Every lane of a multi-task server holds the server's backbone,
+        // before and after a head rollout.
+        let (backbone, heads, priors, _) = tiny_multitask_parts();
+        let mut server = MultiTaskServer::new(backbone, task_list(&heads, &priors), config);
+        let lanes_share = |s: &MultiTaskServer| {
+            (0..s.n_tasks())
+                .all(|k| std::ptr::eq(s.lane(k).expect("lane").model().backbone(), s.backbone()))
+        };
+        assert!(lanes_share(&server));
+        server.replace_head(0, heads[1].clone());
+        assert!(lanes_share(&server), "replace_head keeps the shared backbone");
     }
 }

@@ -3,9 +3,8 @@
 //! no attention mask is needed.
 
 use nfm_tensor::layers::{Linear, Module};
-use nfm_tensor::matrix::{dot, dot8, Matrix};
+use nfm_tensor::matrix::Matrix;
 use nfm_tensor::pool;
-use nfm_tensor::scratch::ScratchArena;
 use rand::Rng;
 
 /// Multi-head self-attention: `Y = concat_h(softmax(Q_h K_hᵀ/√d_h) V_h) W_o`.
@@ -92,165 +91,6 @@ impl MultiHeadAttention {
             head_insert(&mut concat, oh, h, d_head);
         }
         self.wo.forward_inference(&concat)
-    }
-
-    /// Packed-batch inference: `x` holds several sequences concatenated
-    /// row-wise, with sequence `s` occupying rows `bounds[s]..bounds[s+1]`.
-    /// The Q/K/V/O projections run as single large GEMMs over the packed
-    /// rows (per-output-row reductions, so each row's bits are independent
-    /// of its neighbours), while attention itself iterates per sequence per
-    /// head — exactly the [`MultiHeadAttention::forward_inference`]
-    /// arithmetic on that sequence's row block, but computed straight off
-    /// the packed Q/K/V with strided head views: no head-slice copies, no
-    /// per-head output matrices, head results accumulated directly into the
-    /// concat buffer. Scores use the same [`dot`] kernel `matmul_nt` runs
-    /// on materialised slices and the `probs·V` product accumulates over
-    /// ascending `p` like `matmul`, so every bit matches the
-    /// single-sequence path. Activations come from `arena` and are retired
-    /// back into it.
-    pub fn forward_inference_batch(
-        &self,
-        x: &Matrix,
-        bounds: &[usize],
-        arena: &mut ScratchArena,
-    ) -> Matrix {
-        let d_head = self.d_model / self.n_heads;
-        let dm = self.d_model;
-        let rows = x.rows();
-        // Fuse the Q/K/V projections into one GEMM over the packed rows:
-        // W_f = [W_q | W_k | W_v] column-wise, so row r of the output is
-        // [q_r | k_r | v_r]. Each output element is the same ascending-`p`
-        // reduction plus the same bias add the three separate projections
-        // perform — identical bits, one pass over `x` instead of three.
-        let mut wf = arena.take(dm, 3 * dm);
-        for p in 0..dm {
-            let row = wf.row_mut(p);
-            row[..dm].copy_from_slice(self.wq.w.row(p));
-            row[dm..2 * dm].copy_from_slice(self.wk.w.row(p));
-            row[2 * dm..].copy_from_slice(self.wv.w.row(p));
-        }
-        let mut bf = arena.take(1, 3 * dm);
-        {
-            let b = bf.row_mut(0);
-            b[..dm].copy_from_slice(&self.wq.b);
-            b[dm..2 * dm].copy_from_slice(&self.wk.b);
-            b[2 * dm..].copy_from_slice(&self.wv.b);
-        }
-        let mut qkv = arena.take(rows, 3 * dm);
-        x.matmul_into(&wf, &mut qkv);
-        qkv.add_row_broadcast(bf.row(0));
-        arena.put(wf);
-        arena.put(bf);
-        let mut concat = arena.take(rows, self.d_model);
-        let scale = 1.0 / (d_head as f32).sqrt();
-        let n_seqs = bounds.len().saturating_sub(1);
-        // One flat accumulator strip reused by every 4-row probs·V tile.
-        let mut acc_strip = vec![0.0f32; 4 * d_head];
-        for s in 0..n_seqs {
-            let (r0, r1) = (bounds[s], bounds[s + 1]);
-            let t = r1 - r0;
-            let mut scores = arena.take(t, t);
-            for h in 0..self.n_heads {
-                let off = h * d_head;
-                // scores[i][j] = q_h[i] · k_h[j]: the bits `matmul_nt`
-                // produces on head-sliced copies, read in place. Four query
-                // rows share each streamed key row; every score is still its
-                // own [`dot`] call, so regrouping changes no element's bits.
-                let mut i = 0;
-                while i + 4 <= t {
-                    let q0 = &qkv.row(r0 + i)[off..off + d_head];
-                    let q1 = &qkv.row(r0 + i + 1)[off..off + d_head];
-                    let q2 = &qkv.row(r0 + i + 2)[off..off + d_head];
-                    let q3 = &qkv.row(r0 + i + 3)[off..off + d_head];
-                    let block = &mut scores.data_mut()[i * t..(i + 4) * t];
-                    let (s0, rest) = block.split_at_mut(t);
-                    let (s1, rest) = rest.split_at_mut(t);
-                    let (s2, s3) = rest.split_at_mut(t);
-                    if d_head == 8 {
-                        // dot8 == dot bit-for-bit at this width; the
-                        // specialised body keeps the whole product in SIMD
-                        // registers (the generic loop defeats the
-                        // vectoriser at an 8-long trip count).
-                        for j in 0..t {
-                            let kj = &qkv.row(r0 + j)[dm + off..dm + off + d_head];
-                            s0[j] = dot8(q0, kj);
-                            s1[j] = dot8(q1, kj);
-                            s2[j] = dot8(q2, kj);
-                            s3[j] = dot8(q3, kj);
-                        }
-                    } else {
-                        for j in 0..t {
-                            let kj = &qkv.row(r0 + j)[dm + off..dm + off + d_head];
-                            s0[j] = dot(q0, kj);
-                            s1[j] = dot(q1, kj);
-                            s2[j] = dot(q2, kj);
-                            s3[j] = dot(q3, kj);
-                        }
-                    }
-                    i += 4;
-                }
-                for i in i..t {
-                    let qi = &qkv.row(r0 + i)[off..off + d_head];
-                    if d_head == 8 {
-                        for (j, sv) in scores.row_mut(i).iter_mut().enumerate() {
-                            *sv = dot8(qi, &qkv.row(r0 + j)[dm + off..dm + off + d_head]);
-                        }
-                    } else {
-                        for (j, sv) in scores.row_mut(i).iter_mut().enumerate() {
-                            *sv = dot(qi, &qkv.row(r0 + j)[dm + off..dm + off + d_head]);
-                        }
-                    }
-                }
-                scores.scale(scale);
-                scores.softmax_rows();
-                // concat_h[i] = Σ_p scores[i][p] · v_h[p], `p` ascending
-                // into the zeroed concat rows — the accumulation order
-                // `matmul` guarantees, so the same bits it would write.
-                // Four output rows share each streamed v row (register
-                // blocking; regrouping rows never changes an element's own
-                // accumulation sequence).
-                let mut i = 0;
-                while i + 4 <= t {
-                    let (s0, s1) = (scores.row(i), scores.row(i + 1));
-                    let (s2, s3) = (scores.row(i + 2), scores.row(i + 3));
-                    acc_strip.fill(0.0);
-                    let (acc0, rest) = acc_strip.split_at_mut(d_head);
-                    let (acc1, rest) = rest.split_at_mut(d_head);
-                    let (acc2, acc3) = rest.split_at_mut(d_head);
-                    for p in 0..t {
-                        let vrow = &qkv.row(r0 + p)[2 * dm + off..2 * dm + off + d_head];
-                        let (w0, w1, w2, w3) = (s0[p], s1[p], s2[p], s3[p]);
-                        for (l, &vv) in vrow.iter().enumerate() {
-                            acc0[l] += w0 * vv;
-                            acc1[l] += w1 * vv;
-                            acc2[l] += w2 * vv;
-                            acc3[l] += w3 * vv;
-                        }
-                    }
-                    concat.row_mut(r0 + i)[off..off + d_head].copy_from_slice(acc0);
-                    concat.row_mut(r0 + i + 1)[off..off + d_head].copy_from_slice(acc1);
-                    concat.row_mut(r0 + i + 2)[off..off + d_head].copy_from_slice(acc2);
-                    concat.row_mut(r0 + i + 3)[off..off + d_head].copy_from_slice(acc3);
-                    i += 4;
-                }
-                for i in i..t {
-                    let srow = scores.row(i);
-                    let orow = &mut concat.row_mut(r0 + i)[off..off + d_head];
-                    for (p, &sv) in srow.iter().enumerate() {
-                        let vrow = &qkv.row(r0 + p)[2 * dm + off..2 * dm + off + d_head];
-                        for (o, &vv) in orow.iter_mut().zip(vrow) {
-                            *o += sv * vv;
-                        }
-                    }
-                }
-            }
-            arena.put(scores);
-        }
-        arena.put(qkv);
-        let mut y = arena.take(rows, self.d_model);
-        self.wo.forward_inference_into(&concat, &mut y);
-        arena.put(concat);
-        y
     }
 
     /// Attention probabilities per head from the last cached forward.
@@ -460,33 +300,6 @@ mod tests {
             (numeric - analytic).abs() / numeric.abs().max(1e-3) < 0.07,
             "numeric {numeric} analytic {analytic}"
         );
-    }
-
-    #[test]
-    fn packed_batch_matches_single_sequences_bitwise() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let attn = MultiHeadAttention::new(&mut rng, 16, 4);
-        let seqs = [
-            init::normal(&mut rng, 3, 16, 0.8),
-            init::normal(&mut rng, 7, 16, 0.8),
-            init::normal(&mut rng, 1, 16, 0.8),
-        ];
-        let packed = Matrix::vstack(&[&seqs[0], &seqs[1], &seqs[2]]);
-        let bounds = [0usize, 3, 10, 11];
-        let mut arena = ScratchArena::new();
-        // Run twice: the second pass exercises warm (reused, dirty) buffers.
-        for _ in 0..2 {
-            let y = attn.forward_inference_batch(&packed, &bounds, &mut arena);
-            for (s, x) in seqs.iter().enumerate() {
-                let single = attn.forward_inference(x);
-                for r in 0..x.rows() {
-                    let got: Vec<u32> = y.row(bounds[s] + r).iter().map(|v| v.to_bits()).collect();
-                    let want: Vec<u32> = single.row(r).iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(got, want, "seq {s} row {r}");
-                }
-            }
-            arena.put(y);
-        }
     }
 
     #[test]

@@ -2,18 +2,17 @@
 //! post-LN encoder blocks (attention and feed-forward sublayers with
 //! residuals), processed one unpadded sequence at a time.
 //!
-//! For serving under deadlines, [`Encoder::forward_inference_within`] is a
-//! budgeted entry point: inference cost is metered in deterministic
-//! multiply-accumulate units (a reproducible proxy for wall time), checked
-//! before every encoder block, and the call returns a typed
-//! [`InferError::DeadlineExceeded`] instead of starting work it cannot
-//! afford.
+//! For serving under deadlines, [`Encoder::plan_inference_cost`] walks a
+//! forward's charge schedule before any compute runs: inference cost is
+//! metered in deterministic multiply-accumulate units (a reproducible proxy
+//! for wall time), checked before every encoder block, and the plan
+//! returns a typed [`InferError::DeadlineExceeded`] instead of admitting
+//! work the budget cannot afford.
 
 use std::fmt;
 
 use nfm_tensor::layers::{Embedding, Gelu, LayerNorm, Linear, Module};
 use nfm_tensor::matrix::Matrix;
-use nfm_tensor::scratch::ScratchArena;
 use rand::Rng;
 
 use super::attention::MultiHeadAttention;
@@ -120,47 +119,6 @@ impl EncoderBlock {
         let mut r2 = h1.clone();
         r2.add_assign(&f);
         self.ln2.forward_inference(&r2)
-    }
-
-    /// Packed-batch inference over concatenated sequences (rows of `x`;
-    /// sequence `s` owns rows `bounds[s]..bounds[s+1]`). Linear/LayerNorm/
-    /// GELU sublayers operate per row, so they run once over the packed
-    /// matrix; attention iterates per sequence inside
-    /// [`MultiHeadAttention::forward_inference_batch`]. Takes ownership of
-    /// `x` to reuse its buffer for the first residual; every intermediate
-    /// comes from (and retires into) `arena`. Bitwise identical, row for
-    /// row, to [`EncoderBlock::forward_inference`] on each sequence.
-    fn forward_inference_batch(
-        &self,
-        mut x: Matrix,
-        bounds: &[usize],
-        arena: &mut ScratchArena,
-    ) -> Matrix {
-        let (rows, d) = (x.rows(), x.cols());
-        let a = self.attn.forward_inference_batch(&x, bounds, arena);
-        // r1 = x + a, reusing x's buffer (same `+=` arithmetic as the
-        // single-sequence `r1 = x.clone(); r1 += a`).
-        x.add_assign(&a);
-        arena.put(a);
-        let mut h1 = arena.take(rows, d);
-        self.ln1.forward_inference_into(&x, &mut h1);
-        arena.put(x);
-        let d_ff = self.ff1.w.cols();
-        let mut f1 = arena.take(rows, d_ff);
-        self.ff1.forward_inference_into(&h1, &mut f1);
-        let mut g = arena.take(rows, d_ff);
-        self.gelu.forward_inference_into(&f1, &mut g);
-        arena.put(f1);
-        let mut f2 = arena.take(rows, d);
-        self.ff2.forward_inference_into(&g, &mut f2);
-        arena.put(g);
-        // r2 = h1 + f, reusing h1's buffer.
-        h1.add_assign(&f2);
-        arena.put(f2);
-        let mut out = arena.take(rows, d);
-        self.ln2.forward_inference_into(&h1, &mut out);
-        arena.put(h1);
-        out
     }
 
     fn backward(&mut self, dy: &Matrix) -> Matrix {
@@ -294,101 +252,14 @@ impl Encoder {
         self.embed_cost(t) + self.config.n_layers as u64 * self.block_cost(t)
     }
 
-    /// Budgeted inference: like [`Encoder::forward_inference`], but meters
-    /// deterministic cost units against `budget`, checking **before** each
-    /// encoder block so no work is started that the deadline cannot cover.
-    /// Returns the hidden states and the cost actually spent, or a typed
-    /// [`InferError`] (never panics — including on empty input, which the
-    /// unbudgeted path asserts on).
-    pub fn forward_inference_within(
-        &self,
-        ids: &[usize],
-        budget: u64,
-    ) -> Result<(Matrix, u64), InferError> {
-        let ids = self.clamp_ids(ids);
-        if ids.is_empty() {
-            return Err(InferError::EmptyInput);
-        }
-        let mut spent = 0u64;
-        let mut charge = |needed: u64| -> Result<(), InferError> {
-            if spent + needed > budget {
-                Err(InferError::DeadlineExceeded { spent, needed, budget })
-            } else {
-                spent += needed;
-                Ok(())
-            }
-        };
-        charge(self.embed_cost(ids.len()))?;
-        let positions: Vec<usize> = (0..ids.len()).collect();
-        let mut x = self.tok_emb.lookup(ids);
-        x.add_assign(&self.pos_emb.lookup(&positions));
-        let mut h = self.emb_ln.forward_inference(&x);
-        let block_cost = self.block_cost(ids.len());
-        for block in &self.blocks {
-            charge(block_cost)?;
-            h = block.forward_inference(&h);
-        }
-        Ok((h, spent))
-    }
-
-    /// Packed-batch inference over several token sequences at once: clamps
-    /// each sequence to `max_len`, concatenates them row-wise, and runs
-    /// embeddings, layer norms, and all linear projections as single
-    /// operations over the packed rows (attention iterates per sequence).
-    /// Returns the packed hidden states plus row bounds: sequence `s`
-    /// occupies rows `bounds[s]..bounds[s+1]`.
-    ///
-    /// Every per-row computation in the stack (GEMM output rows, layer
-    /// norm, GELU, embedding gathers) is independent of neighbouring rows
-    /// and of the total row count, so each sequence's block of the output
-    /// is bitwise identical to [`Encoder::forward_inference`] on that
-    /// sequence alone. Scratch matrices come from `arena`, which after the
-    /// first batch serves every request from warm buffers.
-    ///
-    /// Panics if any sequence is empty (mirroring the single-sequence
-    /// assert); budgeted callers must filter affordable, non-empty
-    /// sequences first (see [`Encoder::plan_inference_cost`]).
-    pub fn forward_inference_batch(
-        &self,
-        seqs: &[&[usize]],
-        arena: &mut ScratchArena,
-    ) -> (Matrix, Vec<usize>) {
-        let clamped: Vec<&[usize]> = seqs.iter().map(|ids| self.clamp_ids(ids)).collect();
-        let mut bounds = Vec::with_capacity(clamped.len() + 1);
-        bounds.push(0usize);
-        for ids in &clamped {
-            assert!(!ids.is_empty(), "empty sequence");
-            bounds.push(bounds.last().unwrap() + ids.len());
-        }
-        let rows = *bounds.last().unwrap();
-        let d = self.config.d_model;
-        let mut x = arena.take(rows, d);
-        let mut pos_ids = Vec::with_capacity(rows);
-        for (s, ids) in clamped.iter().enumerate() {
-            self.tok_emb.lookup_span(ids, &mut x, bounds[s]);
-            pos_ids.extend(0..ids.len());
-        }
-        let mut pos = arena.take(rows, d);
-        self.pos_emb.lookup_span(&pos_ids, &mut pos, 0);
-        x.add_assign(&pos);
-        arena.put(pos);
-        let mut h = arena.take(rows, d);
-        self.emb_ln.forward_inference_into(&x, &mut h);
-        arena.put(x);
-        for block in &self.blocks {
-            h = block.forward_inference_batch(h, &bounds, arena);
-        }
-        (h, bounds)
-    }
-
-    /// Replay the exact charge schedule [`Encoder::forward_inference_within`]
-    /// walks for a `t`-token (pre-clamp) sequence against `budget`, without
-    /// doing any compute: the embedding charge, then one block charge per
-    /// layer. Returns the encoder cost it would spend, or the identical
-    /// [`InferError::DeadlineExceeded`] (same `spent`/`needed`/`budget`
-    /// fields) the budgeted forward would produce. The batch scheduler uses
-    /// this to give unaffordable requests their deterministic refusal
-    /// without holding up the rest of the batch.
+    /// The deadline charge schedule of one [`Encoder::forward_inference`]
+    /// on a `t`-token (pre-clamp) sequence, walked against `budget` before
+    /// any compute runs: the embedding charge, then one block charge per
+    /// layer, each checked before it is spent. Returns the encoder cost the
+    /// forward spends, or a typed [`InferError`] naming the charge the
+    /// budget could not cover — so a budgeted caller never starts work its
+    /// deadline cannot afford, and never panics on empty input, which the
+    /// forward asserts on.
     pub fn plan_inference_cost(&self, t: usize, budget: u64) -> Result<u64, InferError> {
         let t = t.min(self.config.max_len);
         if t == 0 {
@@ -584,103 +455,43 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_inference_matches_unbudgeted_when_affordable() {
+    fn plan_inference_cost_charges_embedding_then_each_block() {
         let (enc, _) = small();
-        let ids = [2usize, 5, 6, 7, 3];
-        let cost = enc.inference_cost(ids.len());
+        let t = 5;
+        let cost = enc.inference_cost(t);
         assert!(cost > 0);
-        let (h, spent) = enc.forward_inference_within(&ids, cost).expect("exact budget suffices");
-        assert_eq!(spent, cost);
-        let full = enc.forward_inference(&ids);
-        assert_eq!(h.data(), full.data(), "budgeted path computes the same hidden states");
-    }
-
-    #[test]
-    fn budgeted_inference_rejects_tight_budgets_deterministically() {
-        let (enc, _) = small();
-        let ids = [2usize, 5, 6, 7, 3];
-        let cost = enc.inference_cost(ids.len());
-        let err = enc.forward_inference_within(&ids, cost - 1).expect_err("one unit short");
-        match err {
-            InferError::DeadlineExceeded { spent, needed, budget } => {
-                assert_eq!(budget, cost - 1);
-                assert!(spent + needed > budget);
-            }
-            other => panic!("expected DeadlineExceeded, got {other:?}"),
-        }
-        // Zero budget fails before any block runs; the error displays.
-        let err = enc.forward_inference_within(&ids, 0).expect_err("zero budget");
-        assert!(err.to_string().contains("deadline exceeded"));
-        // Same inputs, same verdict: the proxy is reproducible.
-        assert_eq!(
-            enc.forward_inference_within(&ids, cost - 1).unwrap_err(),
-            enc.forward_inference_within(&ids, cost - 1).unwrap_err(),
-        );
-    }
-
-    #[test]
-    fn budgeted_inference_handles_empty_and_overlong_input() {
-        let (enc, _) = small();
-        assert_eq!(enc.forward_inference_within(&[], u64::MAX), Err(InferError::EmptyInput));
-        // Sequences past max_len are clamped, and the cost model agrees.
-        let ids: Vec<usize> = (0..40).map(|i| i % 20).collect();
-        let cost = enc.inference_cost(ids.len());
-        assert_eq!(cost, enc.inference_cost(enc.config.max_len));
-        let (h, spent) = enc.forward_inference_within(&ids, cost).expect("clamped fits");
-        assert_eq!(h.rows(), enc.config.max_len);
-        assert_eq!(spent, cost);
-    }
-
-    #[test]
-    fn packed_batch_forward_matches_single_sequences_bitwise() {
-        let (enc, _) = small();
-        let seqs: Vec<Vec<usize>> = vec![
-            vec![2, 5, 6, 7, 3],
-            vec![2, 3],
-            vec![2, 9, 10, 11, 12, 13, 14, 3],
-            (0..40).map(|i| i % 20).collect(), // clamped to max_len
-        ];
-        let refs: Vec<&[usize]> = seqs.iter().map(|s| s.as_slice()).collect();
-        let mut arena = ScratchArena::new();
-        // Two passes: the second runs entirely on recycled dirty buffers.
-        for pass in 0..2 {
-            let (h, bounds) = enc.forward_inference_batch(&refs, &mut arena);
-            assert_eq!(bounds.len(), seqs.len() + 1);
-            for (s, ids) in seqs.iter().enumerate() {
-                let single = enc.forward_inference(ids);
-                assert_eq!(bounds[s + 1] - bounds[s], single.rows(), "seq {s} rows");
-                for r in 0..single.rows() {
-                    let got: Vec<u32> = h.row(bounds[s] + r).iter().map(|v| v.to_bits()).collect();
-                    let want: Vec<u32> = single.row(r).iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(got, want, "pass {pass} seq {s} row {r}");
-                }
-            }
-            arena.put(h);
-        }
-        assert!(arena.available() > 0, "buffers were retired for reuse");
-    }
-
-    #[test]
-    fn plan_inference_cost_mirrors_budgeted_forward_exactly() {
-        let (enc, _) = small();
-        let ids = [2usize, 5, 6, 7, 3];
-        let cost = enc.inference_cost(ids.len());
-        // Affordable: spent agrees with the real budgeted forward.
-        assert_eq!(enc.plan_inference_cost(ids.len(), cost), Ok(cost));
-        // Every refusal budget yields the identical typed error.
-        for budget in [0u64, 1, cost / 2, cost - 1] {
+        assert_eq!(enc.plan_inference_cost(t, cost), Ok(cost), "exact budget suffices");
+        assert_eq!(enc.plan_inference_cost(t, u64::MAX), Ok(cost));
+        // Each refusal names the first charge the budget cannot cover: the
+        // embedding, then block 1, then block 2.
+        let (embed, block) = (enc.embed_cost(t), enc.block_cost(t));
+        for (budget, spent, needed) in [
+            (0, 0, embed),
+            (embed - 1, 0, embed),
+            (embed + block - 1, embed, block),
+            (cost - 1, embed + block, block),
+        ] {
             assert_eq!(
-                enc.plan_inference_cost(ids.len(), budget),
-                enc.forward_inference_within(&ids, budget).map(|(_, spent)| spent),
+                enc.plan_inference_cost(t, budget),
+                Err(InferError::DeadlineExceeded { spent, needed, budget }),
                 "budget {budget}"
             );
         }
+        let err = enc.plan_inference_cost(t, 0).expect_err("zero budget");
+        assert!(err.to_string().contains("deadline exceeded"));
+    }
+
+    #[test]
+    fn plan_inference_cost_handles_empty_and_overlong_input() {
+        let (enc, _) = small();
         assert_eq!(enc.plan_inference_cost(0, u64::MAX), Err(InferError::EmptyInput));
-        // Over-long sequences clamp the same way the forward does.
-        assert_eq!(
-            enc.plan_inference_cost(40, u64::MAX),
-            Ok(enc.inference_cost(enc.config.max_len))
-        );
+        // Sequences past max_len are clamped, and the cost model agrees
+        // with the rows the forward produces.
+        let ids: Vec<usize> = (0..40).map(|i| i % 20).collect();
+        let cost = enc.inference_cost(ids.len());
+        assert_eq!(cost, enc.inference_cost(enc.config.max_len));
+        assert_eq!(enc.plan_inference_cost(ids.len(), cost), Ok(cost));
+        assert_eq!(enc.forward_inference(&ids).rows(), enc.config.max_len);
     }
 
     #[test]

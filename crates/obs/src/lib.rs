@@ -18,7 +18,7 @@
 //!   thread interleaving.
 //! * Spans meter **two** quantities: non-deterministic wall time, recorded
 //!   into a `*.wall_us` histogram, and deterministic cost units (the MAC
-//!   counts used by `forward_inference_within` budgets), recorded into a
+//!   counts used by `plan_inference_cost` budgets), recorded into a
 //!   `*.cost` histogram and attached to the span's JSONL event.
 //! * The JSONL sink ([`emit_metrics`]) skips every metric whose [`Unit`] is
 //!   wall-clock (`us`) unless `NFM_OBS_WALL` is set, so two seeded runs of

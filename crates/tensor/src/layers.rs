@@ -91,14 +91,6 @@ impl Linear {
         y
     }
 
-    /// [`Linear::forward_inference`] into a caller-provided output matrix
-    /// (`x.rows × n_out`), overwriting its contents without allocating;
-    /// bitwise identical to the allocating form.
-    pub fn forward_inference_into(&self, x: &Matrix, out: &mut Matrix) {
-        x.matmul_into(&self.w, out);
-        out.add_row_broadcast(&self.b);
-    }
-
     /// Backward pass: accumulate gradients, return dL/dx.
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
         let x = self.cache_x.as_ref().expect("forward before backward");
@@ -165,19 +157,6 @@ impl Embedding {
         out
     }
 
-    /// Gather rows for `ids` into a span of `out` starting at row `row0`
-    /// (used by the packed-batch forward to fill one sequence's slice of a
-    /// concatenated activation matrix). Row contents are byte-for-byte the
-    /// same copies [`Embedding::lookup`] performs.
-    pub fn lookup_span(&self, ids: &[usize], out: &mut Matrix, row0: usize) {
-        assert_eq!(out.cols(), self.dim(), "lookup_span dim");
-        assert!(row0 + ids.len() <= out.rows(), "lookup_span rows");
-        for (r, &id) in ids.iter().enumerate() {
-            assert!(id < self.vocab(), "token id {id} out of range");
-            out.row_mut(row0 + r).copy_from_slice(self.table.row(id));
-        }
-    }
-
     /// Scatter-add gradients for the cached ids.
     pub fn backward(&mut self, dy: &Matrix) {
         assert_eq!(dy.rows(), self.cache_ids.len());
@@ -231,26 +210,6 @@ impl LayerNorm {
     /// Forward without caching (inference).
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
         self.compute(x).0
-    }
-
-    /// [`LayerNorm::forward_inference`] into a caller-provided same-shape
-    /// output, overwriting its contents without allocating. Runs the exact
-    /// per-row statistics loop of `compute` (sans the backward caches), so
-    /// the output is bitwise identical to the allocating form.
-    pub fn forward_inference_into(&self, x: &Matrix, out: &mut Matrix) {
-        let d = x.cols();
-        assert_eq!(d, self.gamma.len());
-        assert_eq!((out.rows(), out.cols()), (x.rows(), d), "layernorm out shape");
-        for r in 0..x.rows() {
-            let row = x.row(r);
-            let mean = row.iter().sum::<f32>() / d as f32;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-            let inv_std = 1.0 / (var + self.eps).sqrt();
-            for (c, &v) in row.iter().enumerate() {
-                let h = (v - mean) * inv_std;
-                out.set(r, c, h * self.gamma[c] + self.beta[c]);
-            }
-        }
     }
 
     fn compute(&self, x: &Matrix) -> (Matrix, Matrix, Vec<f32>, Vec<f32>) {
@@ -345,13 +304,6 @@ impl Gelu {
     /// Forward without caching.
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
         x.map(gelu_scalar)
-    }
-
-    /// [`Gelu::forward_inference`] into a caller-provided same-shape
-    /// output, overwriting its contents without allocating; bitwise
-    /// identical to the allocating form.
-    pub fn forward_inference_into(&self, x: &Matrix, out: &mut Matrix) {
-        x.map_into(gelu_scalar, out);
     }
 
     /// Backward pass.
@@ -520,43 +472,6 @@ mod tests {
         let mut all_zero = true;
         layer.visit_params(&mut |_, g| all_zero &= g.iter().all(|&v| v == 0.0));
         assert!(all_zero);
-    }
-
-    #[test]
-    fn inference_into_variants_match_allocating_forms_bitwise() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let lin = Linear::new(&mut rng, 6, 4);
-        let ln = LayerNorm::new(6);
-        let gelu = Gelu::new();
-        let emb = Embedding::new(&mut rng, 9, 6);
-        let x = init::normal(&mut rng, 5, 6, 1.3);
-        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-
-        let mut lin_out = Matrix::zeros(5, 4);
-        lin_out.data_mut().fill(f32::NAN);
-        lin.forward_inference_into(&x, &mut lin_out);
-        assert_eq!(bits(&lin.forward_inference(&x)), bits(&lin_out));
-
-        let mut ln_out = Matrix::zeros(5, 6);
-        ln_out.data_mut().fill(f32::NAN);
-        ln.forward_inference_into(&x, &mut ln_out);
-        assert_eq!(bits(&ln.forward_inference(&x)), bits(&ln_out));
-
-        let mut gelu_out = Matrix::zeros(5, 6);
-        gelu_out.data_mut().fill(f32::NAN);
-        gelu.forward_inference_into(&x, &mut gelu_out);
-        assert_eq!(bits(&gelu.forward_inference(&x)), bits(&gelu_out));
-
-        // lookup_span fills a row range of a packed matrix with the same
-        // bytes lookup produces for the same ids.
-        let ids = [1usize, 8, 3];
-        let mut packed = Matrix::zeros(5, 6);
-        emb.lookup_span(&ids, &mut packed, 2);
-        let single = emb.lookup(&ids);
-        for r in 0..3 {
-            assert_eq!(packed.row(2 + r), single.row(r));
-        }
-        assert!(packed.row(0).iter().all(|&v| v == 0.0));
     }
 
     #[test]

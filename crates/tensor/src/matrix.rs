@@ -182,12 +182,9 @@ fn matmul_tn_rows(
 
 /// Eight-lane dot product with a fixed reduction tree; deterministic and
 /// autovectorizable (the lanes remove the serial dependence that blocks
-/// LLVM from vectorizing a plain f32 accumulator). Public so callers that
-/// work on strided views (e.g. per-head attention over packed Q/K slices)
-/// can reproduce [`Matrix::matmul_nt`]'s exact bits without materialising
-/// the slices.
+/// LLVM from vectorizing a plain f32 accumulator).
 #[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+fn dot(a: &[f32], b: &[f32]) -> f32 {
     let mut lanes = [0.0f32; 8];
     let mut ca = a.chunks_exact(8);
     let mut cb = b.chunks_exact(8);
@@ -203,32 +200,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     let s04_15 = (lanes[0] + lanes[4]) + (lanes[1] + lanes[5]);
     let s26_37 = (lanes[2] + lanes[6]) + (lanes[3] + lanes[7]);
     (s04_15 + s26_37) + tail
-}
-
-/// [`dot`] specialised to exactly 8 elements — the attention head width in
-/// every bench config. The op sequence is identical (each lane starts from
-/// the accumulator's `+0.0`, same reduction tree, same trailing `+ 0.0` for
-/// the empty tail, none of which are FP identities for signed zeros), so the
-/// result is bit-for-bit the same as `dot(a, b)` with `a.len() == 8`; only
-/// the chunk/tail loop machinery is gone, which lets LLVM keep the whole dot
-/// in two SIMD lanes.
-///
-/// # Panics
-/// Panics if either slice is shorter than 8.
-#[inline(always)]
-pub fn dot8(a: &[f32], b: &[f32]) -> f32 {
-    let (a, b) = (&a[..8], &b[..8]);
-    let l0 = 0.0f32 + a[0] * b[0];
-    let l1 = 0.0f32 + a[1] * b[1];
-    let l2 = 0.0f32 + a[2] * b[2];
-    let l3 = 0.0f32 + a[3] * b[3];
-    let l4 = 0.0f32 + a[4] * b[4];
-    let l5 = 0.0f32 + a[5] * b[5];
-    let l6 = 0.0f32 + a[6] * b[6];
-    let l7 = 0.0f32 + a[7] * b[7];
-    let s04_15 = (l0 + l4) + (l1 + l5);
-    let s26_37 = (l2 + l6) + (l3 + l7);
-    (s04_15 + s26_37) + 0.0f32
 }
 
 /// `out[r][j] = dot(a[row0+r], b[j])` for the chunk's rows (a·bᵀ).
@@ -351,34 +322,6 @@ impl Matrix {
 
     /// `self @ other` — (m×k)·(k×n) → m×n.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        self.matmul_fill(other, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul`] written into a caller-provided `m×n` output,
-    /// overwriting its contents without allocating. Same kernels, same
-    /// shard boundaries, same accumulation order — the result is bitwise
-    /// identical to the allocating form.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, other.cols),
-            "matmul_into output shape {}x{} for {}x{} @ {}x{}",
-            out.rows,
-            out.cols,
-            self.rows,
-            self.cols,
-            other.rows,
-            other.cols
-        );
-        out.data.fill(0.0);
-        self.matmul_fill(other, out);
-    }
-
-    /// Shared matmul dispatch; `out` must be `m×n` and all zeros (the
-    /// kernels accumulate into it).
-    fn matmul_fill(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.rows,
             "matmul inner dims {}x{} @ {}x{}",
@@ -387,11 +330,13 @@ impl Matrix {
         let (m, k, n) = (self.rows, self.cols, other.cols);
         nfm_obs::counter!("tensor.matmul.calls").inc();
         nfm_obs::counter!("tensor.matmul.macs", nfm_obs::Unit::Macs).add((m * k * n) as u64);
+        let mut out = Matrix::zeros(m, n);
         let (a, b) = (&self.data, &other.data);
         let chunk_rows = row_chunk(m, m * k * n);
         pool::par_chunks_mut(&mut out.data, chunk_rows * n, |offset, chunk| {
             matmul_rows(a, b, chunk, offset / n.max(1), k, n);
         });
+        out
     }
 
     /// `selfᵀ @ other` — (k×m)ᵀ·(k×n) → m×n, without materializing the
@@ -519,20 +464,6 @@ impl Matrix {
         Matrix { rows: self.rows, cols: self.cols, data }
     }
 
-    /// [`Matrix::map`] written into a caller-provided same-shape output,
-    /// overwriting its contents without allocating; bitwise identical to
-    /// the allocating form.
-    pub fn map_into(&self, f: impl Fn(f32) -> f32 + Sync, out: &mut Matrix) {
-        assert_eq!((self.rows, self.cols), (out.rows, out.cols), "map_into shape");
-        let src = &self.data;
-        pool::par_chunks_mut(&mut out.data, pool::elem_chunk(src.len()), |offset, chunk| {
-            let n = chunk.len();
-            for (o, &x) in chunk.iter_mut().zip(&src[offset..offset + n]) {
-                *o = f(x);
-            }
-        });
-    }
-
     /// Elementwise product into a new matrix.
     pub fn hadamard(&self, other: &Matrix) -> Matrix {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
@@ -653,27 +584,6 @@ mod tests {
 
     fn m(rows: usize, cols: usize, v: &[f32]) -> Matrix {
         Matrix::from_vec(rows, cols, v.to_vec())
-    }
-
-    #[test]
-    fn dot8_matches_dot_bitwise() {
-        // LCG-driven values spanning magnitudes and signs, plus signed-zero
-        // products, where `+0.0` non-identities would show up first.
-        let mut state = 0x1234_5678_u32;
-        let mut next = || {
-            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-            ((state >> 8) as f32 / 8_388_608.0 - 1.0) * 3.0
-        };
-        for _ in 0..1000 {
-            let a: Vec<f32> = (0..8).map(|_| next()).collect();
-            let b: Vec<f32> = (0..8).map(|_| next()).collect();
-            assert_eq!(dot(&a, &b).to_bits(), dot8(&a, &b).to_bits());
-        }
-        let z = [-0.0f32; 8];
-        let p = [1.0f32; 8];
-        assert_eq!(dot(&z, &p).to_bits(), dot8(&z, &p).to_bits());
-        assert_eq!(dot(&z, &z).to_bits(), dot8(&z, &z).to_bits());
-        assert_eq!(dot(&p, &z).to_bits(), dot8(&p, &z).to_bits());
     }
 
     #[test]
@@ -874,24 +784,6 @@ mod tests {
     fn shard_test_ranges(rows: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
         let chunk = rows.div_ceil(parts);
         (0..rows).step_by(chunk.max(1)).map(|s| s..(s + chunk).min(rows)).collect()
-    }
-
-    #[test]
-    fn into_variants_match_allocating_forms() {
-        let a = int_matrix(9, 33, 7);
-        let b = int_matrix(33, 21, 8);
-        let want = a.matmul(&b);
-        // Dirty, reused backing: matmul_into must fully overwrite it.
-        let mut out = Matrix::zeros(9, 21);
-        out.data_mut().fill(f32::NAN);
-        a.matmul_into(&b, &mut out);
-        assert_eq!(out.data(), want.data());
-
-        let mapped = want.map(|v| v * 0.5 - 1.0);
-        let mut mout = Matrix::zeros(9, 21);
-        mout.data_mut().fill(f32::NAN);
-        want.map_into(|v| v * 0.5 - 1.0, &mut mout);
-        assert_eq!(mout.data(), mapped.data());
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! Reusable scratch buffers for allocation-free inference hot paths.
+//! Reusable scratch buffers.
 //!
-//! Single-request transformer inference at small model sizes is dominated
-//! by per-call overhead, and a large slice of that overhead is heap churn:
-//! every layer allocates (and immediately frees) its activation matrices.
 //! [`ScratchArena`] is a deliberately simple free-list of retired `Vec<f32>`
-//! backing buffers: the batched serving path takes zeroed matrices out,
-//! puts them back when a stage retires them, and after the first batch the
-//! whole forward pass runs against warm, already-sized allocations.
+//! backing buffers: a caller takes zeroed matrices out, puts them back when
+//! it is done with them, and later takes run on warm, already-sized
+//! allocations instead of fresh ones. The pooled-embedding batches of
+//! `nfm-core`'s `FmBackbone::pooled_batch_within` are drawn from the
+//! caller's arena this way.
 //!
 //! The arena affects *where* bytes live, never *what* they are: matrices
 //! handed out by [`ScratchArena::take`] are fully zeroed (exactly like
@@ -16,9 +15,9 @@ use crate::matrix::Matrix;
 
 /// A free-list of retired matrix backing buffers.
 ///
-/// Not thread-safe by design — each serving engine owns one arena and
-/// threads it through its (main-thread) batched forward pass. Buffers
-/// crossing into pool workers must be allocated normally instead.
+/// Not thread-safe by design — one caller owns an arena and threads it
+/// through its calls. Buffers crossing into pool workers must be allocated
+/// normally instead.
 #[derive(Debug, Default)]
 pub struct ScratchArena {
     free: Vec<Vec<f32>>,
@@ -69,20 +68,6 @@ impl ScratchArena {
         self.free.push(m.into_data());
     }
 
-    /// Hand out a matrix whose row `j` is an exact copy of `src`'s row
-    /// `rows[j]` — the row-gather the multi-task fan-out path uses to
-    /// slice one task's pending requests out of a shared pooled-embedding
-    /// batch. Backed by the free list like [`ScratchArena::take`]; the
-    /// copies are element-exact, so downstream compute is bitwise
-    /// identical to running on the original rows.
-    pub fn take_gather(&mut self, src: &Matrix, rows: &[usize]) -> Matrix {
-        let mut out = self.take(rows.len(), src.cols());
-        for (j, &r) in rows.iter().enumerate() {
-            out.row_mut(j).copy_from_slice(src.row(r));
-        }
-        out
-    }
-
     /// Number of retired buffers currently available for reuse.
     pub fn available(&self) -> usize {
         self.free.len()
@@ -131,35 +116,5 @@ mod tests {
         // The larger of the two retired buffers was consumed.
         assert_eq!(arena.available(), 1);
         assert_eq!(arena.free[0].capacity(), 2);
-    }
-
-    #[test]
-    fn take_gather_copies_rows_exactly_and_reuses_buffers() {
-        let src = Matrix::from_fn(5, 3, |r, c| (r * 3 + c) as f32 * 0.5 - 2.0);
-        let mut arena = ScratchArena::new();
-        let got = arena.take_gather(&src, &[4, 0, 2]);
-        assert_eq!((got.rows(), got.cols()), (3, 3));
-        assert_eq!(got.row(0), src.row(4));
-        assert_eq!(got.row(1), src.row(0));
-        assert_eq!(got.row(2), src.row(2));
-        arena.put(got);
-        let again = arena.take_gather(&src, &[1]);
-        assert_eq!(again.row(0), src.row(1));
-        assert_eq!(arena.available(), 0, "the retired buffer was recycled");
-    }
-
-    #[test]
-    fn shape_reuse_round_trip_keeps_results_identical() {
-        let a = Matrix::from_fn(5, 6, |r, c| (r * 6 + c) as f32 * 0.25 - 3.0);
-        let b = Matrix::from_fn(6, 7, |r, c| ((r * 7 + c) % 11) as f32 - 5.0);
-        let want = a.matmul(&b);
-        let mut arena = ScratchArena::new();
-        for _ in 0..3 {
-            let mut out = arena.take(5, 7);
-            a.matmul_into(&b, &mut out);
-            assert_eq!(out.data(), want.data());
-            arena.put(out);
-        }
-        assert_eq!(arena.available(), 1, "one buffer cycles through");
     }
 }
