@@ -1,20 +1,23 @@
 //! perf_report — wall-clock timings for the training/inference hot paths at
-//! 1 and 4 worker threads, written to `BENCH_perf.json`.
+//! each worker-thread count in {1, 2, 4} the host has cores for, written to
+//! `BENCH_perf.json`.
 //!
 //! Records are `{name, threads, value, unit}` — `unit` is `"ms"` for wall
 //! times, `"req_per_s"` for serving/cluster throughput, and `"ratio"` for
 //! the shed rate and cluster availability under the fault sweeps (ratio
 //! rows are seed-deterministic and thread-invariant, but recorded at every
-//! measured thread count). Rows with `threads: 0` are run-wide
+//! measured thread count). Rows with `threads: 0` are run-wide values:
+//! `host.nproc` (the hardware threads of the host the report ran on), then
 //! counter totals snapshotted from the `nfm_obs` metrics registry (MAC
 //! counts, pool dispatch totals, serving outcome counters — see
 //! `OBSERVABILITY.md`), accumulated across every thread setting the report
 //! timed. Every measured operation is bitwise
 //! deterministic across thread counts (see `nfm_tensor::pool`), so each
 //! setting performs the exact same arithmetic and the wall-clock ratio is a
-//! pure parallel-speedup measurement. On a single-core machine the 4-thread
-//! rows measure scheduling overhead rather than speedup; run on a
-//! multi-core host for the numbers recorded in EXPERIMENTS.md.
+//! pure parallel-speedup measurement. The pool never runs more workers
+//! than the host has hardware threads, so a `threads=N` row with N above
+//! `host.nproc` would time the same run as a smaller N; no such row is
+//! written.
 //!
 //! `NFM_SCALE=quick` shrinks the workloads for CI.
 //!
@@ -33,7 +36,9 @@ use std::time::Instant;
 
 use nfm_core::baselines::MajorityBaseline;
 use nfm_core::cluster::{ClusterConfig, ClusterSupervisor};
-use nfm_core::pipeline::{FineTuneConfig, FmClassifier, FoundationModel, TaskHead, TextExample};
+use nfm_core::pipeline::{
+    FineTuneConfig, FmClassifier, FoundationModel, Pooling, TaskHead, TextExample,
+};
 use nfm_core::serve::{Fallback, MultiTaskServer, ServeConfig, ServeEngine};
 use nfm_model::nn::transformer::EncoderConfig;
 use nfm_model::pretrain::{pretrain, PretrainConfig, TaskMix};
@@ -127,9 +132,11 @@ fn main() {
         });
         parse_baseline(&text)
     });
-    let thread_counts = [1usize, 4];
-    let mut records: Vec<Rec> = Vec::new();
-    println!("perf_report: timing hot paths at threads = {thread_counts:?}\n");
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let thread_counts: Vec<usize> = [1usize, 2, 4].into_iter().filter(|&t| t <= nproc).collect();
+    let mut records: Vec<Rec> =
+        vec![Rec { name: "host.nproc".into(), threads: 0, value: nproc as f64, unit: "count" }];
+    println!("perf_report: timing hot paths at threads = {thread_counts:?} (nproc {nproc})\n");
 
     // --- Tiled matmul at model-relevant shapes -------------------------
     // (seq × d)·(d × d) projections and square kernels around the sizes the
@@ -182,7 +189,7 @@ fn main() {
         trained = Some(encoder);
     }
 
-    // --- One batched-predict pass --------------------------------------
+    // --- One fine-tune epoch (Pooling::Cls, encoder unfrozen) ----------
     let fm = FoundationModel {
         encoder: trained.expect("pretrain ran"),
         vocab,
@@ -193,14 +200,19 @@ fn main() {
         .enumerate()
         .map(|(i, c)| TextExample { tokens: c.clone(), label: i % 2 })
         .collect();
-    pool::set_threads(0);
-    let clf = FmClassifier::fine_tune(
-        &fm,
-        &examples,
-        2,
-        &FineTuneConfig { epochs: 1, ..FineTuneConfig::default() },
-    )
-    .expect("fine-tuning failed");
+    let ft_cfg = FineTuneConfig { epochs: 1, pooling: Pooling::Cls, ..FineTuneConfig::default() };
+    let mut tuned = None;
+    for &t in &thread_counts {
+        pool::set_threads(t);
+        let start = Instant::now();
+        let clf = FmClassifier::fine_tune(&fm, &examples, 2, &ft_cfg).expect("fine-tuning failed");
+        let wall = ms(start.elapsed());
+        records.push(Rec { name: "finetune_epoch".into(), threads: t, value: wall, unit: "ms" });
+        tuned = Some(clf);
+    }
+    let clf = tuned.expect("fine-tune ran");
+
+    // --- One batched-predict pass --------------------------------------
     let batch: Vec<Vec<String>> = examples.iter().map(|e| e.tokens.clone()).collect();
     for &t in &thread_counts {
         pool::set_threads(t);

@@ -5,6 +5,7 @@
 
 use std::collections::BTreeMap;
 
+use nfm_model::nn::transformer::FULL_READOUT;
 use nfm_model::pretrain::encode_context;
 use nfm_tensor::matrix::Matrix;
 
@@ -83,7 +84,7 @@ pub fn attention_rollout(clf: &mut FmClassifier, tokens: &[String]) -> Vec<f64> 
     let t = ids.len();
     // Training-mode forward to capture attention maps (gradients unused).
     let encoder = clf.encoder_mut();
-    let _ = encoder.forward(&ids);
+    let _ = encoder.forward(&ids, FULL_READOUT);
     let layers = encoder.last_attention();
     let mut rollout = Matrix::from_fn(t, t, |r, c| if r == c { 1.0 } else { 0.0 });
     for heads in layers {

@@ -18,7 +18,7 @@ use nfm_model::checkpoint::{
 use nfm_model::context::{contexts_from_trace, flow_context, ContextStrategy};
 use nfm_model::guard::{GuardConfig, TrainError, TrainGuard};
 use nfm_model::nn::heads::ClsHead;
-use nfm_model::nn::transformer::{Encoder, EncoderConfig, InferError};
+use nfm_model::nn::transformer::{Encoder, EncoderConfig, InferError, CLS_READOUT, FULL_READOUT};
 use nfm_model::pretrain::{encode_context, epoch_seed, pretrain, PretrainConfig, PretrainStats};
 use nfm_model::tokenize::Tokenizer;
 use nfm_model::vocab::Vocab;
@@ -249,6 +249,17 @@ pub enum Pooling {
     Mean,
 }
 
+impl Pooling {
+    /// The encoder readout this pooling reads: the `[CLS]` row alone, or
+    /// every row.
+    fn readout(self) -> usize {
+        match self {
+            Pooling::Cls => CLS_READOUT,
+            Pooling::Mean => FULL_READOUT,
+        }
+    }
+}
+
 /// Fine-tuning hyperparameters.
 #[derive(Debug, Clone)]
 pub struct FineTuneConfig {
@@ -302,9 +313,15 @@ pub(crate) fn argmax_nan_tolerant(logits: &[f32]) -> usize {
     best
 }
 
-fn pool(hidden: &Matrix, pooling: Pooling) -> Matrix {
+/// Pool the hidden states an encoder forward returned for
+/// `pooling.readout()` into one row.
+fn pool(hidden: Matrix, pooling: Pooling) -> Matrix {
     match pooling {
-        Pooling::Cls => hidden.rows_slice(0, 1),
+        // The readout already kept only the [CLS] row.
+        Pooling::Cls => {
+            debug_assert_eq!(hidden.rows(), 1, "a [CLS] readout keeps one row");
+            hidden
+        }
         Pooling::Mean => {
             let mut out = Matrix::zeros(1, hidden.cols());
             for r in 0..hidden.rows() {
@@ -318,20 +335,17 @@ fn pool(hidden: &Matrix, pooling: Pooling) -> Matrix {
     }
 }
 
-fn unpool(dpooled: &Matrix, rows: usize, pooling: Pooling) -> Matrix {
-    let mut dhidden = Matrix::zeros(rows, dpooled.cols());
+/// The gradient of the hidden rows [`pool`] read, from the pooled row's:
+/// the `[CLS]` row's gradient is the pooled one, and a mean spreads it
+/// evenly over all `rows`.
+fn unpool(dpooled: Matrix, rows: usize, pooling: Pooling) -> Matrix {
     match pooling {
-        Pooling::Cls => dhidden.row_mut(0).copy_from_slice(dpooled.row(0)),
+        Pooling::Cls => dpooled,
         Pooling::Mean => {
             let scale = 1.0 / rows as f32;
-            for r in 0..rows {
-                for (d, v) in dhidden.row_mut(r).iter_mut().zip(dpooled.row(0)) {
-                    *d = v * scale;
-                }
-            }
+            Matrix::from_fn(rows, dpooled.cols(), |_, c| dpooled.get(0, c) * scale)
         }
     }
-    dhidden
 }
 
 /// Forward/backward a shard of fine-tuning examples on private replicas of
@@ -354,15 +368,14 @@ fn run_fine_tune_shard(
     let mut loss_sum = 0.0f32;
     for &idx in idxs {
         let (ids, label) = &encoded[idx];
-        let hidden = enc.forward(ids);
-        let pooled = pool(&hidden, pooling);
-        let logits = hd.forward(&pooled);
+        let hidden = enc.forward(ids, pooling.readout());
+        let rows = hidden.rows();
+        let logits = hd.forward(&pool(hidden, pooling));
         let (loss, dlogits) = softmax_cross_entropy(&logits, &[*label]);
         loss_sum += loss;
         let dpooled = hd.backward(&dlogits);
         if !freeze_encoder {
-            let dhidden = unpool(&dpooled, hidden.rows(), pooling);
-            enc.backward(&dhidden);
+            enc.backward(&unpool(dpooled, rows, pooling));
         }
     }
     let enc_grads = if freeze_encoder { Vec::new() } else { enc.export_grads() };
@@ -825,7 +838,7 @@ impl FmBackbone {
     /// [`Encoder::forward_inference`] over `ids`, pooled the way the heads
     /// were trained.
     fn pooled(&self, ids: &[usize]) -> Matrix {
-        pool(&self.encoder.forward_inference(ids), self.pooling)
+        pool(self.encoder.forward_inference(ids, self.pooling.readout()), self.pooling)
     }
 
     /// The encoder half of a budgeted request: plan the encoder's charges

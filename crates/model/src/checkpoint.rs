@@ -49,6 +49,9 @@ pub fn read_encoder_config(r: &mut ByteReader) -> Result<EncoderConfig, Checkpoi
             cfg.d_model, cfg.n_heads
         )));
     }
+    if cfg.n_layers == 0 {
+        return Err(CheckpointError::Malformed("invalid encoder config: no blocks".into()));
+    }
     // Cap dimensions so a corrupted-but-checksum-colliding config cannot
     // request an absurd allocation.
     const MAX_DIM: usize = 1 << 24;
@@ -246,6 +249,7 @@ pub fn load_train_state(path: &Path) -> Result<TrainState, CheckpointError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nn::transformer::FULL_READOUT;
     use nfm_tensor::layers::Module;
     use nfm_tensor::optim::Schedule;
     use rand::Rng;
@@ -273,8 +277,8 @@ mod tests {
         assert_eq!(params_of(&mut enc), params_of(&mut back));
         // Same forward output, bit for bit.
         let ids = [2usize, 7, 9, 3];
-        let a = enc.forward_inference(&ids);
-        let b = back.forward_inference(&ids);
+        let a = enc.forward_inference(&ids, FULL_READOUT);
+        let b = back.forward_inference(&ids, FULL_READOUT);
         for (x, y) in a.data().iter().zip(b.data()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::nn::heads::MlmHead;
-use crate::nn::transformer::Encoder;
+use crate::nn::transformer::{Encoder, FULL_READOUT};
 use crate::vocab::Vocab;
 
 /// Generation configuration.
@@ -93,7 +93,7 @@ pub fn generate(
             if sweep > 0 {
                 ids[pos] = vocab.mask_id();
             }
-            let hidden = encoder.forward_inference(&ids);
+            let hidden = encoder.forward_inference(&ids, FULL_READOUT);
             let logits = head.forward_inference(&hidden);
             // Suppress special tokens.
             let mut row: Vec<f32> = logits.row(pos).to_vec();

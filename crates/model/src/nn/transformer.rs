@@ -2,6 +2,17 @@
 //! post-LN encoder blocks (attention and feed-forward sublayers with
 //! residuals), processed one unpadded sequence at a time.
 //!
+//! Every forward takes a *readout*: how many leading rows of the hidden
+//! states its caller reads ([`CLS_READOUT`] for `[CLS]`-only objectives,
+//! [`FULL_READOUT`] for per-token ones). Attention mixes every position
+//! into every row, so all blocks but the last must run for all T rows; the
+//! last block runs its queries, attention output, LayerNorms, and FFN only
+//! for the read rows (keys and values still span all T positions), and the
+//! backward mirrors it. The kept rows are bitwise what the all-rows forward
+//! computes, and a backward from their gradient leaves every parameter
+//! gradient bitwise equal to the all-rows backward of that gradient padded
+//! with zero rows. The MAC cost model below still prices the full forward.
+//!
 //! For serving under deadlines, [`Encoder::plan_inference_cost`] walks a
 //! forward's charge schedule before any compute runs: inference cost is
 //! metered in deterministic multiply-accumulate units (a reproducible proxy
@@ -15,7 +26,12 @@ use nfm_tensor::layers::{Embedding, Gelu, LayerNorm, Linear, Module};
 use nfm_tensor::matrix::Matrix;
 use rand::Rng;
 
-use super::attention::MultiHeadAttention;
+use super::attention::{add_leading_rows, leading_rows, MultiHeadAttention};
+
+/// Readout for callers that read only the `[CLS]` (first) row.
+pub const CLS_READOUT: usize = 1;
+/// Readout for callers that read every row.
+pub const FULL_READOUT: usize = usize::MAX;
 
 /// Why a budgeted inference call could not produce hidden states.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,6 +90,17 @@ impl EncoderConfig {
     }
 }
 
+/// Rows block `i` of `n_blocks` runs for on a `t`-row sequence under
+/// `readout`: every row, except the last block's, which runs for the read
+/// rows only.
+fn block_rows(i: usize, n_blocks: usize, t: usize, readout: usize) -> usize {
+    if i + 1 == n_blocks {
+        readout.min(t)
+    } else {
+        t
+    }
+}
+
 /// One post-LN encoder block.
 #[derive(Debug, Clone)]
 pub struct EncoderBlock {
@@ -97,9 +124,10 @@ impl EncoderBlock {
         }
     }
 
-    fn forward(&mut self, x: &Matrix) -> Matrix {
-        let a = self.attn.forward(x);
-        let mut r1 = x.clone();
+    /// Training forward of the leading `n` rows of `x` (clamped to T).
+    fn forward(&mut self, x: &Matrix, n: usize) -> Matrix {
+        let a = self.attn.forward(x, n);
+        let mut r1 = leading_rows(x, n).into_owned();
         r1.add_assign(&a);
         let h1 = self.ln1.forward(&r1);
         let f = self.ff2.forward(&self.gelu.forward(&self.ff1.forward(&h1)));
@@ -108,9 +136,9 @@ impl EncoderBlock {
         self.ln2.forward(&r2)
     }
 
-    fn forward_inference(&self, x: &Matrix) -> Matrix {
-        let a = self.attn.forward_inference(x);
-        let mut r1 = x.clone();
+    fn forward_inference(&self, x: &Matrix, n: usize) -> Matrix {
+        let a = self.attn.forward_inference(x, n);
+        let mut r1 = leading_rows(x, n).into_owned();
         r1.add_assign(&a);
         let h1 = self.ln1.forward_inference(&r1);
         let f = self
@@ -121,6 +149,8 @@ impl EncoderBlock {
         self.ln2.forward_inference(&r2)
     }
 
+    /// Backward from dL/dy of the rows the last forward kept; returns dL/dx
+    /// for all T rows.
     fn backward(&mut self, dy: &Matrix) -> Matrix {
         let dr2 = self.ln2.backward(dy);
         // r2 = h1 + f
@@ -129,14 +159,14 @@ impl EncoderBlock {
         let mut dh1 = dr2;
         dh1.add_assign(&dff);
         let dr1 = self.ln1.backward(&dh1);
-        // r1 = x + attn(x)
-        let da = dr1.clone();
-        let mut dx = dr1;
-        dx.add_assign(&self.attn.backward(&da));
+        // r1 = x[..n] + attn(x): the residual reaches only the kept rows.
+        let mut dx = self.attn.backward(&dr1);
+        add_leading_rows(&mut dx, &dr1);
         dx
     }
 
-    /// Attention probabilities from the last training forward.
+    /// Attention probabilities (the kept rows' maps) from the last training
+    /// forward.
     pub fn last_attention(&self) -> Option<&[Matrix]> {
         self.attn.last_attention()
     }
@@ -164,8 +194,10 @@ pub struct Encoder {
 }
 
 impl Encoder {
-    /// Create with random initialization.
+    /// Create with random initialization. Panics on `n_layers == 0`: the
+    /// readout shrinks the last block, so there must be one.
     pub fn new<R: Rng + ?Sized>(rng: &mut R, config: EncoderConfig) -> Encoder {
+        assert!(config.n_layers > 0, "an encoder needs at least one block");
         Encoder {
             tok_emb: Embedding::new(rng, config.vocab, config.d_model),
             pos_emb: Embedding::new(rng, config.max_len, config.d_model),
@@ -201,30 +233,35 @@ impl Encoder {
     }
 
     /// Forward one sequence of token ids (training mode; caches for
-    /// backward). Returns hidden states (T×d).
-    pub fn forward(&mut self, ids: &[usize]) -> Matrix {
+    /// backward). Returns the hidden states of the first `readout` rows
+    /// (clamped to T): `min(readout, T)×d`.
+    pub fn forward(&mut self, ids: &[usize], readout: usize) -> Matrix {
         let ids = self.clamp_ids(ids);
         assert!(!ids.is_empty(), "empty sequence");
-        let positions: Vec<usize> = (0..ids.len()).collect();
+        let t = ids.len();
+        let positions: Vec<usize> = (0..t).collect();
         let mut x = self.tok_emb.forward(ids);
         x.add_assign(&self.pos_emb.forward(&positions));
         let mut h = self.emb_ln.forward(&x);
-        for block in &mut self.blocks {
-            h = block.forward(&h);
+        let n_blocks = self.blocks.len();
+        for (i, block) in self.blocks.iter_mut().enumerate() {
+            h = block.forward(&h, block_rows(i, n_blocks, t, readout));
         }
         h
     }
 
-    /// Forward without caching (inference).
-    pub fn forward_inference(&self, ids: &[usize]) -> Matrix {
+    /// Forward without caching (inference): the hidden states of the first
+    /// `readout` rows (clamped to T).
+    pub fn forward_inference(&self, ids: &[usize], readout: usize) -> Matrix {
         let ids = self.clamp_ids(ids);
         assert!(!ids.is_empty(), "empty sequence");
-        let positions: Vec<usize> = (0..ids.len()).collect();
+        let t = ids.len();
+        let positions: Vec<usize> = (0..t).collect();
         let mut x = self.tok_emb.lookup(ids);
         x.add_assign(&self.pos_emb.lookup(&positions));
         let mut h = self.emb_ln.forward_inference(&x);
-        for block in &self.blocks {
-            h = block.forward_inference(&h);
+        for (i, block) in self.blocks.iter().enumerate() {
+            h = block.forward_inference(&h, block_rows(i, self.blocks.len(), t, readout));
         }
         h
     }
@@ -282,7 +319,9 @@ impl Encoder {
         Ok(spent)
     }
 
-    /// Backward from dL/dhidden; accumulates gradients in all submodules.
+    /// Backward from dL/dhidden of exactly the rows the last
+    /// [`Encoder::forward`] returned; accumulates gradients in all
+    /// submodules.
     pub fn backward(&mut self, dhidden: &Matrix) {
         let mut d = dhidden.clone();
         for block in self.blocks.iter_mut().rev() {
@@ -294,18 +333,20 @@ impl Encoder {
     }
 
     /// Attention maps of the last training forward, per layer then head.
+    /// The last layer's maps cover only the rows its readout kept; pass
+    /// [`FULL_READOUT`] for every row's.
     pub fn last_attention(&self) -> Vec<&[Matrix]> {
         self.blocks.iter().filter_map(|b| b.last_attention()).collect()
     }
 
     /// The `[CLS]` (first-position) embedding of a sequence, inference mode.
     pub fn cls_embedding(&self, ids: &[usize]) -> Vec<f32> {
-        self.forward_inference(ids).row(0).to_vec()
+        self.forward_inference(ids, CLS_READOUT).into_data()
     }
 
     /// Mean-pooled hidden state, inference mode.
     pub fn mean_embedding(&self, ids: &[usize]) -> Vec<f32> {
-        let h = self.forward_inference(ids);
+        let h = self.forward_inference(ids, FULL_READOUT);
         let mut out = vec![0.0f32; h.cols()];
         for r in 0..h.rows() {
             for (o, v) in out.iter_mut().zip(h.row(r)) {
@@ -355,7 +396,7 @@ mod tests {
     #[test]
     fn forward_shapes_and_finiteness() {
         let (mut enc, _) = small();
-        let h = enc.forward(&[2, 5, 6, 7, 3]);
+        let h = enc.forward(&[2, 5, 6, 7, 3], FULL_READOUT);
         assert_eq!((h.rows(), h.cols()), (5, 16));
         assert!(h.is_finite());
     }
@@ -364,8 +405,8 @@ mod tests {
     fn train_and_inference_agree() {
         let (mut enc, _) = small();
         let ids = [2usize, 9, 10, 3];
-        let a = enc.forward(&ids);
-        let b = enc.forward_inference(&ids);
+        let a = enc.forward(&ids, FULL_READOUT);
+        let b = enc.forward_inference(&ids, FULL_READOUT);
         for (x, y) in a.data().iter().zip(b.data()) {
             assert!((x - y).abs() < 1e-4);
         }
@@ -375,7 +416,7 @@ mod tests {
     fn sequences_longer_than_max_len_are_clamped() {
         let (mut enc, _) = small();
         let ids: Vec<usize> = (0..40).map(|i| i % 20).collect();
-        let h = enc.forward(&ids);
+        let h = enc.forward(&ids, FULL_READOUT);
         assert_eq!(h.rows(), 16);
     }
 
@@ -384,8 +425,8 @@ mod tests {
         // The same token in different contexts gets different vectors —
         // the BERT-vs-Word2Vec distinction the paper's §2 highlights.
         let (mut enc, _) = small();
-        let h1 = enc.forward(&[2, 7, 8, 3]);
-        let h2 = enc.forward(&[2, 7, 15, 3]);
+        let h1 = enc.forward(&[2, 7, 8, 3], FULL_READOUT);
+        let h2 = enc.forward(&[2, 7, 15, 3], FULL_READOUT);
         // Token 7 at position 1 in both, different right context.
         let v1 = h1.row(1);
         let v2 = h2.row(1);
@@ -398,11 +439,11 @@ mod tests {
         let (mut enc, _) = small();
         let ids = [2usize, 6, 11, 3];
         // L = ½‖h‖².
-        let h = enc.forward(&ids);
+        let h = enc.forward(&ids, FULL_READOUT);
         enc.zero_grad();
         // Re-run forward so caches match the graded pass.
         let h = {
-            let h2 = enc.forward(&ids);
+            let h2 = enc.forward(&ids, FULL_READOUT);
             assert_eq!(h.data(), h2.data());
             h2
         };
@@ -421,7 +462,7 @@ mod tests {
             slot += 1;
         });
         let loss = |enc: &Encoder| -> f32 {
-            let h = enc.forward_inference(&ids);
+            let h = enc.forward_inference(&ids, FULL_READOUT);
             0.5 * h.data().iter().map(|v| v * v).sum::<f32>()
         };
         let mut orig = 0.0;
@@ -491,7 +532,35 @@ mod tests {
         let cost = enc.inference_cost(ids.len());
         assert_eq!(cost, enc.inference_cost(enc.config.max_len));
         assert_eq!(enc.plan_inference_cost(ids.len(), cost), Ok(cost));
-        assert_eq!(enc.forward_inference(&ids).rows(), enc.config.max_len);
+        assert_eq!(enc.forward_inference(&ids, FULL_READOUT).rows(), enc.config.max_len);
+    }
+
+    #[test]
+    fn readout_keeps_the_leading_rows_and_their_attention_maps() {
+        let (mut enc, _) = small();
+        let ids = [2usize, 9, 10, 11, 3];
+        let full = enc.forward_inference(&ids, FULL_READOUT);
+        for n in [1, 3, 5, 9] {
+            let kept = n.min(ids.len());
+            let h = enc.forward(&ids, n);
+            assert_eq!((h.rows(), h.cols()), (kept, 16));
+            let leading = &full.data()[..kept * 16];
+            assert!(h.data().iter().zip(leading).all(|(a, b)| a.to_bits() == b.to_bits()));
+            let maps = enc.last_attention();
+            let shapes: Vec<(usize, usize)> =
+                maps.iter().map(|heads| (heads[0].rows(), heads[0].cols())).collect();
+            assert_eq!(shapes, vec![(5, 5), (kept, 5)], "readout {n}");
+        }
+        assert_eq!(enc.cls_embedding(&ids), full.row(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one block")]
+    fn encoder_without_blocks_is_rejected() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let config =
+            EncoderConfig { vocab: 10, d_model: 8, n_heads: 2, n_layers: 0, d_ff: 8, max_len: 8 };
+        let _ = Encoder::new(&mut rng, config);
     }
 
     #[test]

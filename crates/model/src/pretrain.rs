@@ -9,7 +9,6 @@ use std::path::PathBuf;
 
 use nfm_tensor::layers::Module;
 use nfm_tensor::loss::{softmax_cross_entropy, IGNORE_INDEX};
-use nfm_tensor::matrix::Matrix;
 use nfm_tensor::optim::{clip_global_norm, Adam, Schedule};
 use nfm_tensor::pool;
 use rand::rngs::StdRng;
@@ -18,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use crate::checkpoint::{load_train_state, save_train_state, TrainState};
 use crate::guard::{GuardConfig, GuardEvent, TrainError, TrainGuard};
 use crate::nn::heads::{ClsHead, MlmHead};
-use crate::nn::transformer::{Encoder, EncoderConfig};
+use crate::nn::transformer::{Encoder, EncoderConfig, CLS_READOUT, FULL_READOUT};
 use crate::vocab::Vocab;
 
 /// Which pre-training objectives are active (experiment E6 sweeps this).
@@ -268,7 +267,7 @@ fn run_pretrain_shard(
     let mut sums = ShardSums::default();
     for item in items {
         if let Some((input, targets)) = &item.mlm {
-            let hidden = enc.forward(input);
+            let hidden = enc.forward(input, FULL_READOUT);
             let logits = mlm.forward(&hidden);
             let (loss, dlogits) = softmax_cross_entropy(&logits, targets);
             if loss > 0.0 {
@@ -281,8 +280,8 @@ fn run_pretrain_shard(
             }
         }
         if let Some((pair, label)) = &item.nfp {
-            let hidden = enc.forward(pair);
-            let cls = hidden.rows_slice(0, 1);
+            // The head reads [CLS] only, so the last block runs for row 0.
+            let cls = enc.forward(pair, CLS_READOUT);
             let logits = nfp.forward(&cls);
             let (loss, dlogits) = softmax_cross_entropy(&logits, &[*label]);
             sums.nfp_loss += loss as f64;
@@ -290,10 +289,7 @@ fn run_pretrain_shard(
             sums.batch_loss += loss as f64;
             sums.batch_items += 1;
             let dcls = nfp.backward(&dlogits);
-            // Scatter dcls back into a full dhidden (only row 0).
-            let mut dhidden = Matrix::zeros(hidden.rows(), hidden.cols());
-            dhidden.row_mut(0).copy_from_slice(dcls.row(0));
-            enc.backward(&dhidden);
+            enc.backward(&dcls);
         }
     }
     (enc.export_grads(), mlm.export_grads(), nfp.export_grads(), sums)
@@ -585,28 +581,28 @@ pub fn pretrain(
 
     // Final masked-prediction accuracy over a sample of the corpus, on a
     // dedicated stream so the result is identical whether or not the run
-    // was resumed.
+    // was resumed. Masks are drawn in corpus order first; the forwards then
+    // run on the worker pool (work-gated like the training loop), and the
+    // integer counts fold in sequence order, so the accuracy is identical
+    // at every thread count.
     let mut eval_rng = StdRng::seed_from_u64(epoch_seed(config.seed, config.epochs, 0x4556_414C));
-    let mut correct = 0usize;
-    let mut total_masked = 0usize;
-    let sample = encoded.len().min(200);
-    for ids in encoded.iter().take(sample) {
-        if ids.len() < 3 {
-            continue;
-        }
-        let (input, targets) = mask_sequence(&mut eval_rng, ids, vocab, config.mask_prob, false);
-        let hidden = encoder.forward_inference(&input);
-        let logits = mlm_head.forward_inference(&hidden);
-        let preds = logits.argmax_rows();
-        for (i, &t) in targets.iter().enumerate() {
-            if t != IGNORE_INDEX {
-                total_masked += 1;
-                if preds[i] == t {
-                    correct += 1;
-                }
-            }
-        }
-    }
+    let masked: Vec<(Vec<usize>, Vec<usize>)> = encoded
+        .iter()
+        .take(200)
+        .filter(|ids| ids.len() >= 3)
+        .map(|ids| mask_sequence(&mut eval_rng, ids, vocab, config.mask_prob, false))
+        .collect();
+    let eval_work: usize =
+        masked.iter().map(|(input, _)| encoder.inference_cost(input.len()) as usize).sum();
+    let counts = pool::par_map_work(masked.len(), eval_work, |i| {
+        let (input, targets) = &masked[i];
+        let hidden = encoder.forward_inference(input, FULL_READOUT);
+        let preds = mlm_head.forward_inference(&hidden).argmax_rows();
+        let scored = targets.iter().zip(preds).filter(|&(&t, _)| t != IGNORE_INDEX);
+        scored.fold((0usize, 0usize), |(hit, n), (&t, p)| (hit + usize::from(p == t), n + 1))
+    });
+    let (correct, total_masked) =
+        counts.into_iter().fold((0, 0), |(hit, n), (h, m)| (hit + h, n + m));
     stats.final_mlm_accuracy =
         if total_masked > 0 { correct as f32 / total_masked as f32 } else { 0.0 };
     stats.guard_events = guard.events;

@@ -1,9 +1,10 @@
 //! Property-based invariants for the modeling layer: tokenizers never
 //! panic and respect budgets, vocabularies round-trip, masking preserves
-//! recoverability, and encoders stay finite on arbitrary valid inputs.
+//! recoverability, encoders stay finite on arbitrary valid inputs, and a
+//! `[CLS]` readout is bitwise the all-rows forward and backward.
 
 use nfm_model::context::{first_m_of_n_context, flow_context};
-use nfm_model::nn::transformer::{Encoder, EncoderConfig};
+use nfm_model::nn::transformer::{Encoder, EncoderConfig, CLS_READOUT, FULL_READOUT};
 use nfm_model::pretrain::{encode_context, mask_sequence};
 use nfm_model::tokenize::bytes::ByteTokenizer;
 use nfm_model::tokenize::field::FieldTokenizer;
@@ -12,7 +13,10 @@ use nfm_model::vocab::Vocab;
 use nfm_net::addr::MacAddr;
 use nfm_net::capture::TracePacket;
 use nfm_net::packet::Packet;
+use nfm_tensor::init;
+use nfm_tensor::layers::Module;
 use nfm_tensor::loss::IGNORE_INDEX;
+use nfm_tensor::matrix::Matrix;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -127,9 +131,49 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let cfg = EncoderConfig { vocab: 30, d_model: 8, n_heads: 2, n_layers: 1, d_ff: 16, max_len: 24 };
         let enc = Encoder::new(&mut rng, cfg);
-        let h = enc.forward_inference(&ids);
+        let h = enc.forward_inference(&ids, FULL_READOUT);
         prop_assert!(h.is_finite());
         prop_assert_eq!(h.rows(), ids.len().min(24));
+    }
+
+    #[test]
+    fn cls_readout_is_bitwise_the_all_rows_forward_and_backward(
+        n_layers in 1usize..=3,
+        n_heads in 1usize..=3,
+        d_head in 1usize..=9,
+        d_ff in 1usize..=20,
+        max_len in 1usize..=12,
+        ids in proptest::collection::vec(0usize..20, 1..17),
+        seed in 0u64..1000,
+    ) {
+        // Lengths 1..=max_len+4, so clamped sequences are covered too.
+        let ids = &ids[..ids.len().min(max_len + 4)];
+        let d_model = n_heads * d_head;
+        let cfg = EncoderConfig { vocab: 20, d_model, n_heads, n_layers, d_ff, max_len };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut full = Encoder::new(&mut rng, cfg);
+        let mut cls = full.clone();
+        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+
+        let row0 = bits(full.forward_inference(ids, FULL_READOUT).row(0));
+        prop_assert_eq!(bits(cls.forward_inference(ids, CLS_READOUT).data()), row0.clone());
+
+        // Training: the [CLS] readout's backward of a random row-0 gradient
+        // against the all-rows backward of that gradient padded with zeros.
+        let h = full.forward(ids, FULL_READOUT);
+        let h_cls = cls.forward(ids, CLS_READOUT);
+        prop_assert_eq!(bits(h_cls.data()), bits(h.row(0)));
+        prop_assert_eq!(bits(h.row(0)), row0);
+        let g = init::normal(&mut rng, 1, d_model, 1.0);
+        let mut g_full = Matrix::zeros(h.rows(), d_model);
+        g_full.row_mut(0).copy_from_slice(g.row(0));
+        full.backward(&g_full);
+        cls.backward(&g);
+        let (full_grads, cls_grads) = (full.export_grads(), cls.export_grads());
+        prop_assert_eq!(full_grads.len(), cls_grads.len());
+        for (slot, (a, b)) in full_grads.iter().zip(&cls_grads).enumerate() {
+            prop_assert!(bits(a) == bits(b), "gradient slot {} differs", slot);
+        }
     }
 
     #[test]

@@ -184,7 +184,7 @@ pub struct LayerNorm {
     g_gamma: Vec<f32>,
     g_beta: Vec<f32>,
     eps: f32,
-    cache: Option<(Matrix, Vec<f32>, Vec<f32>)>, // normalized x, mean, inv_std
+    cache: Option<(Matrix, Vec<f32>)>, // normalized x, inv_std
 }
 
 impl LayerNorm {
@@ -200,44 +200,57 @@ impl LayerNorm {
         }
     }
 
-    /// Forward pass, caching normalization statistics.
+    /// Forward pass, caching the normalized input and inverse deviations.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let (out, xhat, means, inv_stds) = self.compute(x);
-        self.cache = Some((xhat, means, inv_stds));
-        out
-    }
-
-    /// Forward without caching (inference).
-    pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        self.compute(x).0
-    }
-
-    fn compute(&self, x: &Matrix) -> (Matrix, Matrix, Vec<f32>, Vec<f32>) {
+        assert_eq!(x.cols(), self.gamma.len());
         let d = x.cols();
-        assert_eq!(d, self.gamma.len());
         let mut out = Matrix::zeros(x.rows(), d);
         let mut xhat = Matrix::zeros(x.rows(), d);
-        let mut means = Vec::with_capacity(x.rows());
         let mut inv_stds = Vec::with_capacity(x.rows());
         for r in 0..x.rows() {
             let row = x.row(r);
-            let mean = row.iter().sum::<f32>() / d as f32;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-            let inv_std = 1.0 / (var + self.eps).sqrt();
+            let (mean, inv_std) = self.row_stats(row);
             for (c, &v) in row.iter().enumerate() {
                 let h = (v - mean) * inv_std;
                 xhat.set(r, c, h);
                 out.set(r, c, h * self.gamma[c] + self.beta[c]);
             }
-            means.push(mean);
             inv_stds.push(inv_std);
         }
-        (out, xhat, means, inv_stds)
+        self.cache = Some((xhat, inv_stds));
+        out
     }
 
-    /// Backward pass: accumulate gamma/beta gradients, return dL/dx.
+    /// Forward without caching (inference): writes only the output, with
+    /// the same per-element arithmetic as [`LayerNorm::forward`].
+    pub fn forward_inference(&self, x: &Matrix) -> Matrix {
+        assert_eq!(x.cols(), self.gamma.len());
+        let d = x.cols();
+        let mut out = Matrix::zeros(x.rows(), d);
+        for r in 0..x.rows() {
+            let row = x.row(r);
+            let (mean, inv_std) = self.row_stats(row);
+            let params = self.gamma.iter().zip(&self.beta);
+            for ((o, &v), (g, b)) in out.row_mut(r).iter_mut().zip(row).zip(params) {
+                *o = (v - mean) * inv_std * g + b;
+            }
+        }
+        out
+    }
+
+    /// Mean and inverse standard deviation of one row.
+    fn row_stats(&self, row: &[f32]) -> (f32, f32) {
+        let d = row.len() as f32;
+        let mean = row.iter().sum::<f32>() / d;
+        let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d;
+        (mean, 1.0 / (var + self.eps).sqrt())
+    }
+
+    /// Backward pass: accumulate gamma/beta gradients, return dL/dx. `dy`
+    /// must have the rows of the last forward.
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let (xhat, _means, inv_stds) = self.cache.as_ref().expect("forward before backward");
+        let (xhat, inv_stds) = self.cache.as_ref().expect("forward before backward");
+        assert_eq!(dy.rows(), inv_stds.len(), "LayerNorm backward row count");
         let d = dy.cols();
         let mut dx = Matrix::zeros(dy.rows(), d);
         for (r, &inv_std) in inv_stds.iter().enumerate() {

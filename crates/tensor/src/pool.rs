@@ -1,8 +1,8 @@
 //! Scoped worker pool with deterministic sharding.
 //!
 //! Built on `std::thread::scope` only — the build environment has no
-//! crates.io access, so rayon is unavailable (the `compat/criterion` stub's
-//! `rayon` feature is empty). Three properties drive the design:
+//! crates.io access, so rayon is unavailable. Three properties drive the
+//! design:
 //!
 //! 1. **Fixed shard boundaries.** Work is split by pure functions of the
 //!    problem size ([`shard_ranges`], [`reduce_shards`]), never of the
