@@ -20,19 +20,15 @@
 //! | nan-poison  | NaN weights mid-run, then healed (breaker cycle)   |
 //! | combined    | all of the above at once                           |
 
-use nfm_bench::{banner, render_table, Scale};
+use nfm_bench::{banner, render_table, train_serving_model, Scale};
 use nfm_core::baselines::MajorityBaseline;
-use nfm_core::pipeline::{
-    FineTuneConfig, FmClassifier, FoundationModel, PipelineConfig, TextExample,
-};
+use nfm_core::pipeline::FmClassifier;
 use nfm_core::report::Table;
 use nfm_core::serve::{BreakerConfig, Fallback, RetryPolicy, ServeConfig, ServeEngine, ServeStats};
-use nfm_model::pretrain::{PretrainConfig, TaskMix};
 use nfm_model::tokenize::field::FieldTokenizer;
 use nfm_net::capture::Trace;
 use nfm_tensor::layers::Module;
 use nfm_traffic::faults::{burst_schedule, inject, FaultConfig};
-use nfm_traffic::netsim::{simulate, SimConfig};
 
 /// One chaos scenario: a name, the capture-level faults, the arrival
 /// process, the serving knobs, and whether the model is NaN-poisoned for
@@ -50,48 +46,6 @@ struct Outcome {
     name: &'static str,
     stats: ServeStats,
     responses: usize,
-}
-
-fn train_engine_model(scale: &Scale) -> (FmClassifier, Fallback, Trace) {
-    let lt = simulate(&SimConfig {
-        n_sessions: scale.labeled_sessions.min(80),
-        n_general_hosts: 4,
-        n_iot_sets: 1,
-        ..SimConfig::default()
-    });
-    let tokenizer = FieldTokenizer::new();
-    let cfg = PipelineConfig {
-        d_model: 16,
-        n_heads: 2,
-        n_layers: 1,
-        d_ff: 32,
-        max_len: 48,
-        pretrain: PretrainConfig {
-            epochs: scale.pretrain_epochs.min(2),
-            tasks: TaskMix::mlm_only(),
-            ..PretrainConfig::default()
-        },
-        ..PipelineConfig::default()
-    };
-    let (fm, _) =
-        FoundationModel::pretrain_on(&[&lt.trace], &tokenizer, &cfg).expect("pretraining failed");
-    // A small benign/telemetry-style task: the experiment measures
-    // availability, not accuracy, so a port-separable set is enough.
-    let train: Vec<TextExample> = (0..24)
-        .map(|i| TextExample {
-            tokens: vec![if i % 2 == 0 { "PORT_53" } else { "PORT_443" }.to_string()],
-            label: i % 2,
-        })
-        .collect();
-    let clf = FmClassifier::fine_tune(
-        &fm,
-        &train,
-        2,
-        &FineTuneConfig { epochs: 2, ..FineTuneConfig::default() },
-    )
-    .expect("fine-tuning failed");
-    let fallback = Fallback::Majority(MajorityBaseline::fit(&train, 2));
-    (clf, fallback, lt.trace)
 }
 
 /// Run one scenario to completion and return its availability accounting.
@@ -245,7 +199,7 @@ fn main() {
          breaker trips and recovers, zero panics, bitwise-reproducible table",
     );
     let scale = Scale::from_env();
-    let (clf, _, trace) = train_engine_model(&scale);
+    let (clf, trace) = train_serving_model(&scale);
     println!("capture: {} packets; fault matrix: 6 scenarios\n", trace.len());
 
     let run_sweep = || -> Vec<Outcome> {

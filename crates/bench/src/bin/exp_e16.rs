@@ -23,19 +23,15 @@
 
 use std::path::PathBuf;
 
-use nfm_bench::{banner, render_table, Scale};
+use nfm_bench::{banner, render_table, train_serving_model, Scale};
 use nfm_core::baselines::MajorityBaseline;
 use nfm_core::cluster::{ClusterConfig, ClusterStats, ClusterSupervisor};
-use nfm_core::pipeline::{
-    FineTuneConfig, FmClassifier, FoundationModel, PipelineConfig, TextExample,
-};
+use nfm_core::pipeline::FmClassifier;
 use nfm_core::report::Table;
 use nfm_core::serve::{assemble_requests, Fallback, ServeConfig};
-use nfm_model::pretrain::{PretrainConfig, TaskMix};
 use nfm_model::tokenize::field::FieldTokenizer;
 use nfm_net::capture::Trace;
 use nfm_traffic::faults::{ReplicaFault, ReplicaFaultKind};
-use nfm_traffic::netsim::{simulate, SimConfig};
 
 /// One chaos scenario: a name, the cluster size, the replica faults (burst
 /// indices filled in once the tick count is known), and whether replica 0's
@@ -54,45 +50,6 @@ struct Outcome {
     stats: ClusterStats,
     responses: usize,
     end_healthy: usize,
-}
-
-fn train_cluster_model(scale: &Scale) -> (FmClassifier, Trace) {
-    let lt = simulate(&SimConfig {
-        n_sessions: scale.labeled_sessions.min(80),
-        n_general_hosts: 4,
-        n_iot_sets: 1,
-        ..SimConfig::default()
-    });
-    let tokenizer = FieldTokenizer::new();
-    let cfg = PipelineConfig {
-        d_model: 16,
-        n_heads: 2,
-        n_layers: 1,
-        d_ff: 32,
-        max_len: 48,
-        pretrain: PretrainConfig {
-            epochs: scale.pretrain_epochs.min(2),
-            tasks: TaskMix::mlm_only(),
-            ..PretrainConfig::default()
-        },
-        ..PipelineConfig::default()
-    };
-    let (fm, _) =
-        FoundationModel::pretrain_on(&[&lt.trace], &tokenizer, &cfg).expect("pretraining failed");
-    let train: Vec<TextExample> = (0..24)
-        .map(|i| TextExample {
-            tokens: vec![if i % 2 == 0 { "PORT_53" } else { "PORT_443" }.to_string()],
-            label: i % 2,
-        })
-        .collect();
-    let clf = FmClassifier::fine_tune(
-        &fm,
-        &train,
-        2,
-        &FineTuneConfig { epochs: 2, ..FineTuneConfig::default() },
-    )
-    .expect("fine-tuning failed");
-    (clf, lt.trace)
 }
 
 fn majority() -> Fallback {
@@ -265,7 +222,7 @@ fn main() {
          probes, failover, hedging, warm restarts, and a bitwise-reproducible table",
     );
     let scale = Scale::from_env();
-    let (clf, trace) = train_cluster_model(&scale);
+    let (clf, trace) = train_serving_model(&scale);
     let n_ticks = assemble_requests(&trace, &FieldTokenizer::new(), 64).0.len();
     println!(
         "capture: {} packets → {n_ticks} requests; failure matrix: 7 scenarios\n",

@@ -29,8 +29,8 @@ use nfm_core::pipeline::{
 };
 use nfm_core::report::Table;
 use nfm_core::serve::{
-    assemble_requests, Fallback, MultiTaskServer, MultiTaskStats, Response, ServeConfig,
-    ServeEngine, ServeRequest, ServeStats, TaskSet,
+    assemble_requests, burst_groups, Fallback, MultiTaskServer, MultiTaskStats, Response,
+    ServeConfig, ServeEngine, ServeRequest, ServeStats, TaskSet,
 };
 use nfm_model::pretrain::{PretrainConfig, TaskMix};
 use nfm_model::tokenize::field::FieldTokenizer;
@@ -107,29 +107,8 @@ fn run_standalone(
     schedule: &[usize],
 ) -> Vec<Response> {
     let mut out = Vec::new();
-    let mut pending = requests.iter().cloned();
-    let mut exhausted = false;
-    for &burst in schedule {
-        for _ in 0..burst {
-            match pending.next() {
-                Some(r) => {
-                    if r.tasks.contains(k) {
-                        engine.submit(r);
-                    }
-                }
-                None => {
-                    exhausted = true;
-                    break;
-                }
-            }
-        }
-        out.append(&mut engine.drain_queue());
-        if exhausted {
-            break;
-        }
-    }
-    for r in pending {
-        if r.tasks.contains(k) {
+    for group in burst_groups(requests.iter().cloned(), schedule) {
+        for r in group.into_iter().filter(|r| r.tasks.contains(k)) {
             engine.submit(r);
         }
         out.append(&mut engine.drain_queue());

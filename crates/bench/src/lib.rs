@@ -214,6 +214,50 @@ pub fn train_family(
     }
 }
 
+/// The small classifier the serving chaos experiments (E15, E16) serve,
+/// and the capture it was pre-trained on: MLM pre-training of a one-layer
+/// encoder on a small simulated capture, then a two-class fine-tune. Those
+/// experiments measure availability, not accuracy, so a port-separable task
+/// is enough.
+pub fn train_serving_model(scale: &Scale) -> (FmClassifier, Trace) {
+    let lt = nfm_traffic::simulate(&nfm_traffic::SimConfig {
+        n_sessions: scale.labeled_sessions.min(80),
+        n_general_hosts: 4,
+        n_iot_sets: 1,
+        ..nfm_traffic::SimConfig::default()
+    });
+    let tokenizer = nfm_model::tokenize::field::FieldTokenizer::new();
+    let cfg = PipelineConfig {
+        d_model: 16,
+        n_heads: 2,
+        n_layers: 1,
+        d_ff: 32,
+        max_len: 48,
+        pretrain: PretrainConfig {
+            epochs: scale.pretrain_epochs.min(2),
+            tasks: TaskMix::mlm_only(),
+            ..PretrainConfig::default()
+        },
+        ..PipelineConfig::default()
+    };
+    let (fm, _) =
+        FoundationModel::pretrain_on(&[&lt.trace], &tokenizer, &cfg).expect("pretraining failed");
+    let train: Vec<TextExample> = (0..24)
+        .map(|i| TextExample {
+            tokens: vec![if i % 2 == 0 { "PORT_53" } else { "PORT_443" }.to_string()],
+            label: i % 2,
+        })
+        .collect();
+    let clf = FmClassifier::fine_tune(
+        &fm,
+        &train,
+        2,
+        &FineTuneConfig { epochs: 2, ..FineTuneConfig::default() },
+    )
+    .expect("fine-tuning failed");
+    (clf, lt.trace)
+}
+
 /// Pre-train on a DNS-heavy unlabeled mixture — NorBERT's own setting
 /// ("pre-trained a foundational model (NorBERT) on DNS traffic", §3.4).
 /// Name tokens dominate the corpus, so their co-occurrence structure isn't

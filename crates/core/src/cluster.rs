@@ -31,9 +31,9 @@
 //!    backoff.
 //!
 //! Everything is metered in the same deterministic cost units as the
-//! engine, faults arrive on a seeded schedule
-//! ([`nfm_traffic::faults::replica_fault_schedule`]), and every counter is
-//! an integer — so a full chaos sweep (E16) reproduces bit for bit.
+//! engine, faults arrive as a fixed list of
+//! [`nfm_traffic::faults::ReplicaFault`]s keyed by tick, and every counter
+//! is an integer — so a full chaos sweep (E16) reproduces bit for bit.
 
 use std::error::Error;
 use std::fmt;
@@ -48,8 +48,8 @@ use nfm_traffic::faults::{ReplicaFault, ReplicaFaultKind};
 use crate::ood::DriftMonitor;
 use crate::pipeline::{FineTuneConfig, FmClassifier, TextExample};
 use crate::serve::{
-    assemble_requests, load_classifier_with_retry, Fallback, IngestStats, Responder, Response,
-    RetryPolicy, ServeConfig, ServeEngine, ServeRequest, ServeStats,
+    assemble_requests, burst_groups, load_classifier_with_retry, Fallback, IngestStats, Responder,
+    Response, RetryPolicy, ServeConfig, ServeEngine, ServeRequest, ServeStats,
 };
 
 /// Errors surfaced by cluster construction instead of panics.
@@ -478,7 +478,7 @@ impl ClusterSupervisor {
     }
 
     /// Whether any replica's drift detector is currently tripped.
-    pub fn drift_tripped(&self) -> bool {
+    fn drift_tripped(&self) -> bool {
         self.replicas.iter().any(|r| r.engine.drift_monitor().is_some_and(|m| m.tripped()))
     }
 
@@ -520,9 +520,7 @@ impl ClusterSupervisor {
         if self.tick < state.not_before {
             return;
         }
-        let tripped =
-            self.replicas.iter().any(|r| r.engine.drift_monitor().is_some_and(|m| m.tripped()));
-        if !tripped || self.quarantined_total() < state.config.min_quarantine {
+        if !self.drift_tripped() || self.quarantined_total() < state.config.min_quarantine {
             return;
         }
         self.stats.adaptations_started += 1;
@@ -978,9 +976,9 @@ impl ClusterSupervisor {
     }
 
     /// Serve every flow in `trace` across the cluster. `schedule` groups
-    /// arrivals into bursts exactly as in [`ServeEngine::serve_trace`];
-    /// each burst is one cluster tick (faults strike, restarts fire, and
-    /// probes run on tick boundaries). Requests left after the schedule
+    /// arrivals into bursts exactly as in [`ServeEngine::serve_trace`]
+    /// ([`burst_groups`]); each burst is one cluster tick (faults strike,
+    /// restarts fire, and probes run on tick boundaries). Requests left after the schedule
     /// arrive one per tick. Statistics accumulate across calls.
     ///
     /// Every arrived request gets exactly one [`Response`] unless a replica
@@ -995,27 +993,8 @@ impl ClusterSupervisor {
         let (requests, ingest) = assemble_requests(trace, tokenizer, self.config.serve.max_tokens);
         self.fold_ingest(ingest);
         let mut responses = Vec::with_capacity(requests.len());
-        let mut pending = requests.into_iter();
-        let mut exhausted = false;
-        for &burst in schedule {
-            let mut batch = Vec::with_capacity(burst.min(1024));
-            for _ in 0..burst {
-                match pending.next() {
-                    Some(r) => batch.push(r),
-                    None => {
-                        exhausted = true;
-                        break;
-                    }
-                }
-            }
-            responses.extend(self.run_tick(&batch, faults));
-            if exhausted {
-                break;
-            }
-        }
-        for request in pending {
-            let batch = [request];
-            responses.extend(self.run_tick(&batch, faults));
+        for group in burst_groups(requests, schedule) {
+            responses.extend(self.run_tick(&group, faults));
         }
         responses
     }

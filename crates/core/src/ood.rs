@@ -64,13 +64,16 @@ pub struct EmbeddingStats {
 impl EmbeddingStats {
     /// Fit from the training examples' embeddings.
     pub fn fit(clf: &FmClassifier, train: &[TextExample]) -> EmbeddingStats {
+        EmbeddingStats::fit_embeddings(clf, &embed_all(clf, train))
+    }
+
+    /// Fit from `(label, embedding)` pairs computed with `clf`.
+    fn fit_embeddings(clf: &FmClassifier, embeddings: &[(usize, Vec<f32>)]) -> EmbeddingStats {
         let dim = clf.backbone().d_model();
         let n_classes = clf.head().n_classes;
         let mut sums = vec![vec![0.0f64; dim]; n_classes];
         let mut counts = vec![0usize; n_classes];
-        let embeddings: Vec<(usize, Vec<f32>)> =
-            train.iter().map(|e| (e.label, clf.embed(&e.tokens))).collect();
-        for (label, emb) in &embeddings {
+        for (label, emb) in embeddings {
             counts[*label] += 1;
             for (s, v) in sums[*label].iter_mut().zip(emb) {
                 *s += *v as f64;
@@ -89,7 +92,7 @@ impl EmbeddingStats {
             .collect();
         let mut var = vec![0.0f64; dim];
         let mut total = 0usize;
-        for (label, emb) in &embeddings {
+        for (label, emb) in embeddings {
             if counts[*label] == 0 {
                 continue;
             }
@@ -164,6 +167,11 @@ impl EmbeddingStats {
     }
 }
 
+/// Each example's label and pooled embedding under `clf`.
+fn embed_all(clf: &FmClassifier, examples: &[TextExample]) -> Vec<(usize, Vec<f32>)> {
+    examples.iter().map(|e| (e.label, clf.embed(&e.tokens))).collect()
+}
+
 /// An OOD detector: embedding statistics fitted once against a classifier,
 /// owning its calibration so it can outlive (and be checkpointed apart from)
 /// the training set.
@@ -177,11 +185,6 @@ impl OodDetector {
     /// the Mahalanobis score).
     pub fn fit(clf: &FmClassifier, train: &[TextExample]) -> OodDetector {
         OodDetector { stats: EmbeddingStats::fit(clf, train) }
-    }
-
-    /// Wrap pre-fitted statistics.
-    pub fn from_stats(stats: EmbeddingStats) -> OodDetector {
-        OodDetector { stats }
     }
 
     /// The fitted embedding statistics.
@@ -386,17 +389,19 @@ impl DriftMonitor {
 
     /// Calibrate against a classifier and reference (training) examples:
     /// fits embedding statistics and records the mean reference distance
-    /// used to normalize per-request distances.
+    /// used to normalize per-request distances. Each reference example is
+    /// embedded once, for both.
     pub fn calibrate(
         clf: &FmClassifier,
         reference: &[TextExample],
         config: DriftConfig,
     ) -> DriftMonitor {
-        let stats = EmbeddingStats::fit(clf, reference);
+        let embeddings = embed_all(clf, reference);
+        let stats = EmbeddingStats::fit_embeddings(clf, &embeddings);
         let mut sum = 0.0f64;
         let mut n = 0u64;
-        for e in reference {
-            let d = stats.distance(&clf.embed(&e.tokens));
+        for (_, embedding) in &embeddings {
+            let d = stats.distance(embedding);
             if d.is_finite() {
                 sum += d;
                 n += 1;

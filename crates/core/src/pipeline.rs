@@ -16,10 +16,10 @@ use nfm_model::checkpoint::{
     read_cls_head, read_encoder, read_vocab, write_cls_head, write_encoder, write_vocab,
 };
 use nfm_model::context::{contexts_from_trace, flow_context, ContextStrategy};
-use nfm_model::guard::{GuardConfig, TrainError, TrainGuard};
+use nfm_model::guard::{GuardConfig, Telemetry, TrainError, TrainGuard, Trainee};
 use nfm_model::nn::heads::ClsHead;
 use nfm_model::nn::transformer::{Encoder, EncoderConfig, InferError, CLS_READOUT, FULL_READOUT};
-use nfm_model::pretrain::{encode_context, epoch_seed, pretrain, PretrainConfig, PretrainStats};
+use nfm_model::pretrain::{encode_context, pretrain, PretrainConfig, PretrainStats};
 use nfm_model::tokenize::Tokenizer;
 use nfm_model::vocab::Vocab;
 use nfm_net::capture::Trace;
@@ -35,7 +35,7 @@ use nfm_tensor::pool as tpool;
 use nfm_tensor::scratch::ScratchArena;
 use nfm_traffic::dataset::LabeledFlow;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Errors surfaced by the pipeline instead of panics.
 #[derive(Debug)]
@@ -382,6 +382,82 @@ fn run_fine_tune_shard(
     (enc_grads, hd.export_grads(), loss_sum)
 }
 
+/// Everything one fine-tuning run updates — the encoder, the head, their
+/// optimizers, and the epoch's loss sum — plus the examples its batches
+/// draw from. [`TrainGuard`] clones it as the epoch-start snapshot.
+#[derive(Clone)]
+struct FineTuneState<'a> {
+    config: &'a FineTuneConfig,
+    encoded: &'a [(Vec<usize>, usize)],
+    pooling: Pooling,
+    encoder: Encoder,
+    head: ClsHead,
+    opt_enc: Adam,
+    opt_head: Adam,
+    /// Sum of this epoch's per-batch mean losses, and the batch count.
+    loss_sum: f64,
+    batches: usize,
+}
+
+impl Trainee for FineTuneState<'_> {
+    fn batch(&mut self, idxs: &[usize], _rng: &mut StdRng, _step: u64) -> (f32, f32) {
+        let freeze_encoder = self.config.freeze_encoder;
+        self.encoder.zero_grad();
+        self.head.zero_grad();
+        // Fixed microbatch shards (boundaries depend only on the batch
+        // length) run on replicas in parallel; the reduction below folds
+        // them in shard order. Work-gated: forward+backward ≈ 3× the
+        // inference MACs, and below the gate the spawn + model-clone +
+        // grad-reduce overhead beats any parallel win.
+        let batch_work: usize = idxs
+            .iter()
+            .map(|&idx| 3 * self.encoder.inference_cost(self.encoded[idx].0.len()) as usize)
+            .sum();
+        let shards = tpool::shard_ranges(idxs.len(), tpool::REDUCE_SHARDS);
+        let results = tpool::par_map_work(shards.len(), batch_work, |s| {
+            run_fine_tune_shard(
+                &self.encoder,
+                &self.head,
+                &idxs[shards[s].clone()],
+                self.encoded,
+                self.pooling,
+                freeze_encoder,
+            )
+        });
+        let mut batch_loss = 0.0f32;
+        for (enc_g, head_g, loss) in results {
+            if !freeze_encoder {
+                self.encoder.accumulate_grads(&enc_g);
+            }
+            self.head.accumulate_grads(&head_g);
+            batch_loss += loss;
+        }
+        let mean_loss = batch_loss / idxs.len().max(1) as f32;
+        let mut grad_norm = clip_global_norm(&mut self.head, 5.0);
+        if !freeze_encoder {
+            if self.config.freeze_embeddings {
+                self.encoder.zero_token_embedding_grads();
+            }
+            grad_norm = grad_norm.max(clip_global_norm(&mut self.encoder, 5.0));
+        }
+        self.loss_sum += mean_loss as f64;
+        self.batches += 1;
+        (mean_loss, grad_norm)
+    }
+
+    fn apply(&mut self) {
+        self.opt_head.step(&mut self.head);
+        if !self.config.freeze_encoder {
+            self.opt_enc.step(&mut self.encoder);
+        }
+    }
+
+    fn set_lr_scale(&mut self, scale: f32) {
+        self.opt_enc.set_lr_scale(scale);
+        self.opt_head.set_lr_scale(scale);
+    }
+}
+
 /// One request's outcome from the deadline-aware logits paths: the logits
 /// plus the cost actually spent, or the typed refusal.
 pub type CostedLogits = Result<(Vec<f32>, u64), InferError>;
@@ -437,19 +513,19 @@ impl FmClassifier {
         Self::fine_tune_loop((*base.backbone).clone(), base.head.clone(), examples, config)
     }
 
-    /// The guard-supervised training loop shared by
-    /// [`FmClassifier::fine_tune`] (fresh head),
-    /// [`FmClassifier::fine_tune_from`] (warm start), and the head-only
-    /// [`TaskHead`] fits. Pools through the backbone's pooling;
-    /// `config.pooling` is not read.
+    /// The fine-tuning run shared by [`FmClassifier::fine_tune`] (fresh
+    /// head), [`FmClassifier::fine_tune_from`] (warm start), and the
+    /// head-only [`TaskHead`] fits: each epoch runs under the same
+    /// [`TrainGuard`] loop as pre-training. Pools through the backbone's
+    /// pooling; `config.pooling` is not read.
     fn fine_tune_loop(
         backbone: FmBackbone,
         task: TaskHead,
         examples: &[TextExample],
         config: &FineTuneConfig,
     ) -> Result<FmClassifier, PipelineError> {
-        let FmBackbone { mut encoder, vocab, max_len, pooling } = backbone;
-        let TaskHead { name, mut head, n_classes, .. } = task;
+        let FmBackbone { encoder, vocab, max_len, pooling } = backbone;
+        let TaskHead { name, head, n_classes, .. } = task;
         // Span cost = MAC delta over the run (deterministic work units).
         let macs = nfm_obs::global().counter("tensor.matmul.macs", nfm_obs::Unit::Macs);
         let macs_at_start = macs.get();
@@ -462,150 +538,37 @@ impl FmClassifier {
         let steps = (encoded.len().div_ceil(config.batch_size) * config.epochs).max(1);
         let schedule =
             Schedule::WarmupLinear { peak: config.lr, warmup: steps / 10 + 1, total: steps + 1 };
-        let mut opt_enc = Adam::new(schedule);
-        let mut opt_head = Adam::new(schedule);
-
-        let mut guard = TrainGuard::new(config.guard);
-        let mut lr_scale = 1.0f32;
-        let mut total_retries = 0u64;
-        let mut global_step = 0u64;
-
+        let mut st = FineTuneState {
+            config,
+            encoded: &encoded,
+            pooling,
+            encoder,
+            head,
+            opt_enc: Adam::new(schedule),
+            opt_head: Adam::new(schedule),
+            loss_sum: 0.0,
+            batches: 0,
+        };
+        let mut guard =
+            TrainGuard::new(config.guard, Telemetry::FINETUNE, config.seed, config.batch_size);
         for epoch in 0..config.epochs {
-            let mut attempt = 0usize;
-            loop {
-                // Epoch-start snapshot for guard rollback.
-                let snapshot =
-                    (encoder.clone(), head.clone(), opt_enc.clone(), opt_head.clone(), global_step);
-                // Batch order is a pure function of (seed, epoch, retries).
-                let mut order: Vec<usize> = (0..encoded.len()).collect();
-                let mut rng = StdRng::seed_from_u64(epoch_seed(config.seed, epoch, total_retries));
-                for i in (1..order.len()).rev() {
-                    order.swap(i, rng.gen_range(0..=i));
-                }
-                let mut tripped: Option<(u64, String)> = None;
-                let mut epoch_loss = 0.0f64;
-                let mut epoch_steps = 0usize;
-                'batches: for batch in order.chunks(config.batch_size) {
-                    encoder.zero_grad();
-                    head.zero_grad();
-                    // Fixed microbatch shards (boundaries depend only on
-                    // the batch length) run on replicas in parallel; the
-                    // reduction below folds them in shard order. Work-gated:
-                    // forward+backward ≈ 3× the inference MACs, and below
-                    // the gate the spawn + model-clone + grad-reduce
-                    // overhead beats any parallel win.
-                    let batch_work: usize = batch
-                        .iter()
-                        .map(|&idx| 3 * encoder.inference_cost(encoded[idx].0.len()) as usize)
-                        .sum();
-                    let shards = tpool::shard_ranges(batch.len(), tpool::REDUCE_SHARDS);
-                    let results = tpool::par_map_work(shards.len(), batch_work, |s| {
-                        run_fine_tune_shard(
-                            &encoder,
-                            &head,
-                            &batch[shards[s].clone()],
-                            &encoded,
-                            pooling,
-                            config.freeze_encoder,
-                        )
-                    });
-                    let mut batch_loss = 0.0f32;
-                    for (enc_g, head_g, loss) in results {
-                        if !config.freeze_encoder {
-                            encoder.accumulate_grads(&enc_g);
-                        }
-                        head.accumulate_grads(&head_g);
-                        batch_loss += loss;
-                    }
-                    let step = global_step;
-                    global_step += 1;
-                    let mean_loss = batch_loss / batch.len().max(1) as f32;
-                    let mut grad_norm = clip_global_norm(&mut head, 5.0);
-                    if !config.freeze_encoder {
-                        if config.freeze_embeddings {
-                            encoder.zero_token_embedding_grads();
-                        }
-                        grad_norm = grad_norm.max(clip_global_norm(&mut encoder, 5.0));
-                    }
-                    epoch_loss += mean_loss as f64;
-                    epoch_steps += 1;
-                    nfm_obs::counter!("finetune.steps").inc();
-                    nfm_obs::histogram!(
-                        "finetune.grad_norm_milli",
-                        nfm_obs::Unit::Milli,
-                        nfm_obs::NORM_EDGES
-                    )
-                    .observe((grad_norm as f64 * 1000.0) as u64);
-                    if let Some(cause) = guard.inspect(mean_loss, grad_norm) {
-                        tripped = Some((step, cause));
-                        break 'batches;
-                    }
-                    opt_head.step(&mut head);
-                    if !config.freeze_encoder {
-                        opt_enc.step(&mut encoder);
-                    }
-                }
-                match tripped {
-                    None => {
-                        nfm_obs::counter!("finetune.epochs").inc();
-                        let mean = if epoch_steps > 0 {
-                            (epoch_loss / epoch_steps as f64) as f32
-                        } else {
-                            0.0
-                        };
-                        nfm_obs::event(
-                            "finetune.epoch",
-                            &[
-                                ("epoch", nfm_obs::Value::U(epoch as u64)),
-                                ("mean_loss", nfm_obs::Value::F32(mean)),
-                            ],
-                        );
-                        break;
-                    }
-                    Some((step, cause)) => {
-                        attempt += 1;
-                        total_retries += 1;
-                        let (e, h, oe, oh, gs) = snapshot;
-                        encoder = e;
-                        head = h;
-                        opt_enc = oe;
-                        opt_head = oh;
-                        global_step = gs;
-                        lr_scale *= config.guard.lr_backoff;
-                        opt_enc.set_lr_scale(lr_scale);
-                        opt_head.set_lr_scale(lr_scale);
-                        nfm_obs::counter!("finetune.rollbacks").inc();
-                        nfm_obs::event(
-                            "finetune.guard.rollback",
-                            &[
-                                ("epoch", nfm_obs::Value::U(epoch as u64)),
-                                ("step", nfm_obs::Value::U(step)),
-                                ("cause", nfm_obs::Value::S(&cause)),
-                                ("lr_scale", nfm_obs::Value::F32(lr_scale)),
-                            ],
-                        );
-                        guard.record(
-                            epoch,
-                            step,
-                            cause,
-                            format!(
-                                "rolled back to epoch {epoch} start; lr_scale {lr_scale:.4}; reshuffled"
-                            ),
-                        );
-                        if attempt > config.guard.max_retries {
-                            return Err(PipelineError::Train(TrainError::Diverged {
-                                attempts: attempt,
-                                log: guard.events,
-                            }));
-                        }
-                    }
-                }
-            }
+            st.loss_sum = 0.0;
+            st.batches = 0;
+            guard.epoch(epoch, encoded.len(), &mut st)?;
+            nfm_obs::counter!("finetune.epochs").inc();
+            let mean = if st.batches > 0 { (st.loss_sum / st.batches as f64) as f32 } else { 0.0 };
+            nfm_obs::event(
+                "finetune.epoch",
+                &[
+                    ("epoch", nfm_obs::Value::U(epoch as u64)),
+                    ("mean_loss", nfm_obs::Value::F32(mean)),
+                ],
+            );
         }
         run_span.add_cost(macs.get().saturating_sub(macs_at_start));
         Ok(FmClassifier {
-            backbone: Arc::new(FmBackbone { encoder, vocab, max_len, pooling }),
-            head: TaskHead { name, head, n_classes, pooling },
+            backbone: Arc::new(FmBackbone { encoder: st.encoder, vocab, max_len, pooling }),
+            head: TaskHead { name, head: st.head, n_classes, pooling },
         })
     }
 
@@ -1407,6 +1370,30 @@ mod tests {
                 label: i % n_classes,
             })
             .collect()
+    }
+
+    #[test]
+    fn fine_tune_divergence_rolls_back_then_is_a_typed_error() {
+        let (fm, _) = tiny_fm();
+        let train = head_train(2);
+        // Every step's loss exceeds 0, so every step trips the guard.
+        let cfg = FineTuneConfig {
+            guard: GuardConfig { max_loss: 0.0, max_retries: 1, ..GuardConfig::default() },
+            ..FineTuneConfig::default()
+        };
+        let check = |result: Result<(), PipelineError>| match result {
+            Err(PipelineError::Train(TrainError::Diverged { attempts: 2, log })) => {
+                let steps: Vec<(usize, u64)> = log.iter().map(|e| (e.epoch, e.step)).collect();
+                // Step numbers count the rolled-back step too.
+                assert_eq!(steps, vec![(0, 0), (0, 1)]);
+                assert!(log[0].action.contains("lr_scale 0.5000"), "{}", log[0].action);
+                assert!(log[1].action.contains("lr_scale 0.2500"), "{}", log[1].action);
+            }
+            other => panic!("expected Diverged after 2 attempts, got {other:?}"),
+        };
+        check(FmClassifier::fine_tune(&fm, &train, 2, &cfg).map(drop));
+        let backbone = FmBackbone::from_model(&fm, cfg.pooling);
+        check(TaskHead::fine_tune(&backbone, "t", &train, 2, &cfg).map(drop));
     }
 
     #[test]

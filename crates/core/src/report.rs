@@ -24,12 +24,6 @@ impl Table {
         self
     }
 
-    /// Convenience: append a row of displayable items.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     /// The column headers.
     pub fn header(&self) -> &[String] {
         &self.header

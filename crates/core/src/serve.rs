@@ -482,6 +482,13 @@ impl ServeStats {
             self.shed as f64 / self.arrived as f64
         }
     }
+
+    /// Fold one capture's ingest accounting into these statistics.
+    fn record_ingest(&mut self, ingest: &IngestStats) {
+        self.malformed_packets += ingest.malformed_packets;
+        self.flows_assembled += ingest.flows_assembled;
+        self.empty_contexts += ingest.empty_contexts;
+    }
 }
 
 /// The set of task lanes a request fans out to, as a bitmask (bit `k` =
@@ -586,6 +593,28 @@ pub fn assemble_requests(
         requests.push(ServeRequest { flow: flow_idx, tokens, tasks: TaskSet::ALL });
     }
     (requests, stats)
+}
+
+/// Split `requests` into the arrival groups of a burst `schedule` (e.g.
+/// from [`nfm_traffic::faults::burst_schedule`]): group `i` holds the next
+/// `schedule[i]` requests, in order. When the requests run out partway
+/// through a burst, that burst's group is short (possibly empty) and is the
+/// last; requests left after the schedule arrive one per group. Every
+/// serving surface offers a whole group before it drains, so bursts — not
+/// average load — drive shedding, and a cluster runs one tick per group.
+pub fn burst_groups<T>(requests: impl IntoIterator<Item = T>, schedule: &[usize]) -> Vec<Vec<T>> {
+    let mut pending = requests.into_iter();
+    let mut groups = Vec::with_capacity(schedule.len());
+    for &burst in schedule {
+        let group: Vec<T> = pending.by_ref().take(burst).collect();
+        let short = group.len() < burst;
+        groups.push(group);
+        if short {
+            return groups;
+        }
+    }
+    groups.extend(pending.map(|request| vec![request]));
+    groups
 }
 
 /// A bounded capture buffer for drifted traffic: examples the drift monitor
@@ -768,11 +797,6 @@ impl ServeEngine {
         self.drift.as_ref()
     }
 
-    /// Mutable drift monitor — the adaptation layer re-arms tests here.
-    pub fn drift_monitor_mut(&mut self) -> Option<&mut DriftMonitor> {
-        self.drift.as_mut()
-    }
-
     /// The quarantine buffer of drift-flagged traffic.
     pub fn quarantine(&self) -> &QuarantineBuffer {
         &self.quarantine
@@ -868,16 +892,6 @@ impl ServeEngine {
             responses.push(self.answer(req, None));
         }
         responses
-    }
-
-    /// Assemble `trace` into requests via [`assemble_requests`], folding the
-    /// ingest accounting into this engine's statistics.
-    fn ingest(&mut self, trace: &Trace, tokenizer: &dyn Tokenizer) -> Vec<ServeRequest> {
-        let (requests, ingest) = assemble_requests(trace, tokenizer, self.config.max_tokens);
-        self.stats.malformed_packets += ingest.malformed_packets;
-        self.stats.flows_assembled += ingest.flows_assembled;
-        self.stats.empty_contexts += ingest.empty_contexts;
-        requests
     }
 
     /// Admission control for one arrival. Below the watermark the request
@@ -1057,13 +1071,13 @@ impl ServeEngine {
         }
     }
 
-    /// Serve every flow in `trace`. `schedule` groups arrivals into bursts
-    /// (e.g. from [`nfm_traffic::faults::burst_schedule`]): all requests of
-    /// a burst hit admission control before the queue drains, so bursts —
-    /// not average load — drive shedding. A short (or empty) schedule makes
-    /// the remaining requests arrive one by one. Statistics accumulate
-    /// across calls, which is how a chaos harness interleaves traffic with
-    /// weight poisoning/healing.
+    /// Serve every flow in `trace`, assembled by [`assemble_requests`].
+    /// `schedule` groups arrivals into bursts ([`burst_groups`]): all
+    /// requests of a burst hit admission control before the queue drains,
+    /// so bursts — not average load — drive shedding. A short (or empty)
+    /// schedule makes the remaining requests arrive one by one. Statistics
+    /// accumulate across calls, which is how a chaos harness interleaves
+    /// traffic with weight poisoning/healing.
     ///
     /// Every admitted request gets exactly one [`Response`]; the method
     /// never panics on malformed capture bytes.
@@ -1073,27 +1087,13 @@ impl ServeEngine {
         tokenizer: &dyn Tokenizer,
         schedule: &[usize],
     ) -> Vec<Response> {
-        let requests = self.ingest(trace, tokenizer);
+        let (requests, ingest) = assemble_requests(trace, tokenizer, self.config.max_tokens);
+        self.stats.record_ingest(&ingest);
         let mut responses = Vec::with_capacity(requests.len());
-        let mut pending = requests.into_iter();
-        let mut exhausted = false;
-        for &burst in schedule {
-            for _ in 0..burst {
-                match pending.next() {
-                    Some(r) => self.offer(r),
-                    None => {
-                        exhausted = true;
-                        break;
-                    }
-                }
+        for group in burst_groups(requests, schedule) {
+            for request in group {
+                self.offer(request);
             }
-            responses.append(&mut self.drain_queue());
-            if exhausted {
-                break;
-            }
-        }
-        for request in pending {
-            self.offer(request);
             responses.append(&mut self.drain_queue());
         }
         responses
@@ -1175,11 +1175,6 @@ impl MultiTaskServer {
     /// Number of task lanes.
     pub fn n_tasks(&self) -> usize {
         self.lanes.len()
-    }
-
-    /// Task names, lane order.
-    pub fn task_names(&self) -> Vec<&str> {
-        self.lanes.iter().map(|l| l.clf.head().name.as_str()).collect()
     }
 
     /// The shared backbone.
@@ -1367,44 +1362,23 @@ impl MultiTaskServer {
         out
     }
 
-    /// Offer pre-assembled requests in bursts (like
-    /// [`ServeEngine::serve_trace`]'s schedule semantics) and drain
-    /// between bursts. Returns one response vector per task, each bitwise
-    /// identical to a standalone engine fed that task's stream with the
-    /// same schedule.
+    /// Offer pre-assembled requests in the bursts [`burst_groups`] cuts
+    /// from `schedule` and drain between bursts. Returns one response
+    /// vector per task, each bitwise identical to a standalone engine fed
+    /// that task's stream with the same schedule.
     pub fn serve_requests(
         &mut self,
         requests: Vec<ServeRequest>,
         schedule: &[usize],
     ) -> Vec<Vec<Response>> {
         let mut out: Vec<Vec<Response>> = self.lanes.iter().map(|_| Vec::new()).collect();
-        let fold = |out: &mut Vec<Vec<Response>>, drained: Vec<Vec<Response>>| {
-            for (k, mut v) in drained.into_iter().enumerate() {
-                out[k].append(&mut v);
+        for group in burst_groups(requests, schedule) {
+            for request in group {
+                self.submit(request);
             }
-        };
-        let mut pending = requests.into_iter();
-        let mut exhausted = false;
-        for &burst in schedule {
-            for _ in 0..burst {
-                match pending.next() {
-                    Some(r) => self.submit(r),
-                    None => {
-                        exhausted = true;
-                        break;
-                    }
-                }
+            for (k, mut drained) in self.drain().into_iter().enumerate() {
+                out[k].append(&mut drained);
             }
-            let drained = self.drain();
-            fold(&mut out, drained);
-            if exhausted {
-                break;
-            }
-        }
-        for request in pending {
-            self.submit(request);
-            let drained = self.drain();
-            fold(&mut out, drained);
         }
         out
     }
@@ -1422,9 +1396,7 @@ impl MultiTaskServer {
     ) -> Vec<Vec<Response>> {
         let (requests, ingest) = assemble_requests(trace, tokenizer, self.config.max_tokens);
         for lane in &mut self.lanes {
-            lane.stats.malformed_packets += ingest.malformed_packets;
-            lane.stats.flows_assembled += ingest.flows_assembled;
-            lane.stats.empty_contexts += ingest.empty_contexts;
+            lane.stats.record_ingest(&ingest);
         }
         self.serve_requests(requests, schedule)
     }
@@ -1482,6 +1454,21 @@ mod tests {
 
     fn drain(engine: &mut ServeEngine, trace: &Trace) -> Vec<Response> {
         engine.serve_trace(trace, &FieldTokenizer::new(), &[])
+    }
+
+    #[test]
+    fn burst_groups_follow_the_schedule_then_go_one_by_one() {
+        let none: Vec<Vec<u32>> = Vec::new();
+        assert_eq!(
+            burst_groups(1..=5, &[2, 0, 1]),
+            [vec![1, 2], vec![], vec![3], vec![4], vec![5]]
+        );
+        assert_eq!(burst_groups(1..=2, &[]), [vec![1], vec![2]]);
+        assert_eq!(burst_groups(1..1, &[]), none);
+        // Running out partway through a burst ends on that short group...
+        assert_eq!(burst_groups(1..=3, &[2, 2, 2]), [vec![1, 2], vec![3]]);
+        // ...and running out on a burst boundary ends on an empty one.
+        assert_eq!(burst_groups(1..=2, &[2, 3, 1]), [vec![1, 2], vec![]]);
     }
 
     #[test]
@@ -1820,29 +1807,8 @@ mod tests {
         schedule: &[usize],
     ) -> Vec<Response> {
         let mut out = Vec::new();
-        let mut pending = requests.iter().cloned();
-        let mut exhausted = false;
-        for &burst in schedule {
-            for _ in 0..burst {
-                match pending.next() {
-                    Some(r) => {
-                        if r.tasks.contains(k) {
-                            engine.offer(r);
-                        }
-                    }
-                    None => {
-                        exhausted = true;
-                        break;
-                    }
-                }
-            }
-            out.append(&mut engine.drain_queue());
-            if exhausted {
-                break;
-            }
-        }
-        for r in pending {
-            if r.tasks.contains(k) {
+        for group in burst_groups(requests.iter().cloned(), schedule) {
+            for r in group.into_iter().filter(|r| r.tasks.contains(k)) {
                 engine.offer(r);
             }
             out.append(&mut engine.drain_queue());

@@ -13,7 +13,7 @@ use std::path::Path;
 
 use nfm_tensor::checkpoint::{
     load_record, read_adam, read_module_params, save_record, write_adam, write_module_params,
-    ByteReader, ByteWriter, CheckpointError, KIND_ENCODER, KIND_TRAIN, KIND_VOCAB,
+    ByteReader, ByteWriter, CheckpointError, KIND_ENCODER, KIND_TRAIN,
 };
 use nfm_tensor::optim::Adam;
 use rand::rngs::StdRng;
@@ -142,20 +142,6 @@ pub fn load_encoder(path: &Path) -> Result<Encoder, CheckpointError> {
     let payload = load_record(path, KIND_ENCODER)?;
     let mut r = ByteReader::new(&payload);
     read_encoder(&mut r)
-}
-
-/// Save a vocabulary alone to `path`.
-pub fn save_vocab(path: &Path, vocab: &Vocab) -> Result<(), CheckpointError> {
-    let mut w = ByteWriter::new();
-    write_vocab(&mut w, vocab);
-    save_record(path, KIND_VOCAB, &w.into_bytes())
-}
-
-/// Load a vocabulary alone from `path`.
-pub fn load_vocab(path: &Path) -> Result<Vocab, CheckpointError> {
-    let payload = load_record(path, KIND_VOCAB)?;
-    let mut r = ByteReader::new(&payload);
-    read_vocab(&mut r)
 }
 
 /// Everything needed to continue an interrupted pre-training run with

@@ -205,16 +205,6 @@ pub fn contexts_from_trace(
     out
 }
 
-/// Consecutive flow-context pairs from a trace, ordered by flow start time —
-/// the unit for next-"sentence" (next-flow) prediction pre-training.
-pub fn consecutive_flow_contexts(
-    trace: &Trace,
-    tok: &dyn Tokenizer,
-    max_tokens: usize,
-) -> Vec<Vec<String>> {
-    contexts_from_trace(trace, tok, ContextStrategy::Flow, max_tokens)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

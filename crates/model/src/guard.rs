@@ -1,18 +1,25 @@
-//! Divergence detection and recovery for training loops.
+//! Divergence detection and recovery: the one guarded epoch loop both
+//! training stages run.
 //!
-//! A [`TrainGuard`] watches per-step loss and pre-clip gradient norms for
-//! NaN/Inf or explosion. When a check trips, the training loop rolls back
-//! to its last-good snapshot, halves the learning rate, reshuffles the
-//! batch order under a fresh seed, and retries; after
-//! [`GuardConfig::max_retries`] failed attempts on the same stretch it
-//! gives up with a typed [`TrainError::Diverged`] carrying the full
-//! recovery log.
+//! Pre-training ([`crate::pretrain::pretrain`]) and fine-tuning
+//! (`nfm_core::pipeline`) each describe one batch of their objective as a
+//! [`Trainee`]; a [`TrainGuard`] drives it. The guard owns the policy:
+//! the per-epoch batch order, the epoch-start snapshot, the per-step check
+//! of the loss and pre-clip gradient norm for NaN/Inf or explosion, the
+//! step telemetry, and the recovery. When a check trips, the guard rolls
+//! the trainee back to its snapshot, scales the learning rate by
+//! [`GuardConfig::lr_backoff`], reshuffles the batch order under a fresh
+//! seed, and retries; after [`GuardConfig::max_retries`] failed attempts
+//! on the same epoch it gives up with a typed [`TrainError::Diverged`]
+//! carrying the full recovery log.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::fmt;
 
 use nfm_tensor::checkpoint::CheckpointError;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Thresholds and retry policy for divergence detection.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,6 +37,26 @@ pub struct GuardConfig {
 impl Default for GuardConfig {
     fn default() -> Self {
         GuardConfig { max_loss: 1e4, max_grad_norm: 1e3, max_retries: 3, lr_backoff: 0.5 }
+    }
+}
+
+impl GuardConfig {
+    /// Check one training step. Returns the trip cause, or `None` when the
+    /// step is healthy.
+    fn inspect(&self, loss: f32, grad_norm: f32) -> Option<String> {
+        if loss.is_nan() {
+            Some("loss is NaN".to_string())
+        } else if loss.is_infinite() {
+            Some("loss is infinite".to_string())
+        } else if loss > self.max_loss {
+            Some(format!("loss {loss:.3e} exceeds {:.3e}", self.max_loss))
+        } else if !grad_norm.is_finite() {
+            Some(format!("gradient norm is {grad_norm}"))
+        } else if grad_norm > self.max_grad_norm {
+            Some(format!("gradient norm {grad_norm:.3e} exceeds {:.3e}", self.max_grad_norm))
+        } else {
+            None
+        }
     }
 }
 
@@ -103,44 +130,184 @@ impl From<CheckpointError> for TrainError {
     }
 }
 
-/// The divergence watchdog. Stateless between checks apart from the event
-/// log; rollback/retry bookkeeping lives in the training loop, which owns
-/// the snapshots.
+/// Deterministic per-epoch stream seed: mixes the base seed, the epoch, and
+/// the guard's retry counter (so a rolled-back epoch replays with a fresh
+/// batch order). SplitMix64-style finalizer.
+pub(crate) fn epoch_seed(seed: u64, epoch: usize, salt: u64) -> u64 {
+    let mut z = seed
+        ^ (epoch as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ salt.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The telemetry names of one training stage: the `<prefix>.steps`
+/// counter, the `<prefix>.grad_norm_milli` histogram, the
+/// `<prefix>.rollbacks` counter and the `<prefix>.guard.rollback` event.
+/// The `nfm_obs::counter!`-family macros cache the first name each call
+/// site sees, so the guard looks these up in the registry instead; each
+/// metric still registers on first use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Telemetry {
+    steps: &'static str,
+    grad_norm: &'static str,
+    rollbacks: &'static str,
+    rollback: &'static str,
+}
+
+impl Telemetry {
+    /// Pre-training: prefix `train`.
+    pub const PRETRAIN: Telemetry = Telemetry {
+        steps: "train.steps",
+        grad_norm: "train.grad_norm_milli",
+        rollbacks: "train.rollbacks",
+        rollback: "train.guard.rollback",
+    };
+    /// Fine-tuning: prefix `finetune`.
+    pub const FINETUNE: Telemetry = Telemetry {
+        steps: "finetune.steps",
+        grad_norm: "finetune.grad_norm_milli",
+        rollbacks: "finetune.rollbacks",
+        rollback: "finetune.guard.rollback",
+    };
+}
+
+/// The state one training run updates: every module, optimizer and epoch
+/// accumulator. `Clone` takes the epoch-start snapshot a tripped check
+/// rolls back to, so anything a rollback must restore lives here.
+pub trait Trainee: Clone {
+    /// Compute one batch's gradients over the examples `idxs`: zero them,
+    /// run the forward and backward passes, fold and clip them. Returns the
+    /// loss the guard checks and the pre-clip gradient norm. `rng` is the
+    /// epoch's stream, just past the shuffle; `step` numbers the step among
+    /// every step attempted, rolled-back ones included.
+    fn batch(&mut self, idxs: &[usize], rng: &mut StdRng, step: u64) -> (f32, f32);
+
+    /// Step every optimizer on the gradients the last
+    /// [`Trainee::batch`] left.
+    fn apply(&mut self);
+
+    /// Set every optimizer's learning-rate multiplier.
+    fn set_lr_scale(&mut self, scale: f32);
+}
+
+/// The divergence-guarded epoch loop. [`TrainGuard::epoch`] shuffles,
+/// snapshots, runs and checks every batch, and rolls back on a trip; the
+/// [`Trainee`] supplies only the objective.
 #[derive(Debug, Clone)]
 pub struct TrainGuard {
-    /// Thresholds and retry policy.
-    pub config: GuardConfig,
+    config: GuardConfig,
+    telemetry: Telemetry,
+    seed: u64,
+    batch_size: usize,
     /// Recovery log, in order.
-    pub events: Vec<GuardEvent>,
+    pub(crate) events: Vec<GuardEvent>,
+    /// Learning-rate multiplier: 1 until rollbacks scale it down.
+    pub(crate) lr_scale: f32,
+    /// Rollbacks so far in the run; salts the batch order.
+    pub(crate) total_retries: u64,
+    /// Steps attempted so far in the run, rolled-back ones included.
+    pub(crate) global_step: u64,
 }
 
 impl TrainGuard {
-    /// A guard with the given policy.
-    pub fn new(config: GuardConfig) -> TrainGuard {
-        TrainGuard { config, events: Vec::new() }
-    }
-
-    /// Check one training step. Returns the trip cause, or `None` when the
-    /// step is healthy.
-    pub fn inspect(&self, loss: f32, grad_norm: f32) -> Option<String> {
-        if loss.is_nan() {
-            Some("loss is NaN".to_string())
-        } else if loss.is_infinite() {
-            Some("loss is infinite".to_string())
-        } else if loss > self.config.max_loss {
-            Some(format!("loss {loss:.3e} exceeds {:.3e}", self.config.max_loss))
-        } else if !grad_norm.is_finite() {
-            Some(format!("gradient norm is {grad_norm}"))
-        } else if grad_norm > self.config.max_grad_norm {
-            Some(format!("gradient norm {grad_norm:.3e} exceeds {:.3e}", self.config.max_grad_norm))
-        } else {
-            None
+    /// A guard for a fresh run: batches of `batch_size` shuffled from
+    /// `seed`, reported under `telemetry`. A resumed run restores
+    /// `lr_scale`, `total_retries` and `global_step` before its first
+    /// epoch.
+    pub fn new(
+        config: GuardConfig,
+        telemetry: Telemetry,
+        seed: u64,
+        batch_size: usize,
+    ) -> TrainGuard {
+        TrainGuard {
+            config,
+            telemetry,
+            seed,
+            batch_size,
+            events: Vec::new(),
+            lr_scale: 1.0,
+            total_retries: 0,
+            global_step: 0,
         }
     }
 
-    /// Record a recovery action.
-    pub fn record(&mut self, epoch: usize, step: u64, cause: String, action: String) {
-        self.events.push(GuardEvent { epoch, step, cause, action });
+    /// Train `state` for epoch `epoch` over the examples `0..n_examples`,
+    /// retrying a tripped attempt from the epoch-start snapshot until one
+    /// completes or [`GuardConfig::max_retries`] retries are spent.
+    pub fn epoch<T: Trainee>(
+        &mut self,
+        epoch: usize,
+        n_examples: usize,
+        state: &mut T,
+    ) -> Result<(), TrainError> {
+        let mut attempt = 0usize;
+        loop {
+            let snapshot = state.clone();
+            // Deterministic shuffle from the identity permutation: the
+            // order depends only on (seed, epoch, retries), never on earlier
+            // epochs, or resumed runs would diverge.
+            let mut order: Vec<usize> = (0..n_examples).collect();
+            let mut rng = StdRng::seed_from_u64(epoch_seed(self.seed, epoch, self.total_retries));
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..=i));
+            }
+            let Some((step, cause)) = self.attempt(&order, &mut rng, state) else {
+                return Ok(());
+            };
+            attempt += 1;
+            self.total_retries += 1;
+            *state = snapshot;
+            self.lr_scale *= self.config.lr_backoff;
+            state.set_lr_scale(self.lr_scale);
+            nfm_obs::global().counter(self.telemetry.rollbacks, nfm_obs::Unit::Count).inc();
+            nfm_obs::event(
+                self.telemetry.rollback,
+                &[
+                    ("epoch", nfm_obs::Value::U(epoch as u64)),
+                    ("step", nfm_obs::Value::U(step)),
+                    ("cause", nfm_obs::Value::S(&cause)),
+                    ("lr_scale", nfm_obs::Value::F32(self.lr_scale)),
+                ],
+            );
+            let action = format!(
+                "rolled back to epoch {epoch} start; lr_scale {:.4}; reshuffled",
+                self.lr_scale
+            );
+            self.events.push(GuardEvent { epoch, step, cause, action });
+            if attempt > self.config.max_retries {
+                let log = std::mem::take(&mut self.events);
+                return Err(TrainError::Diverged { attempts: attempt, log });
+            }
+        }
+    }
+
+    /// One attempt at an epoch: run, check and apply each batch of `order`.
+    /// Returns the step and cause of the first trip, leaving that batch's
+    /// optimizer steps untaken.
+    fn attempt<T: Trainee>(
+        &mut self,
+        order: &[usize],
+        rng: &mut StdRng,
+        state: &mut T,
+    ) -> Option<(u64, String)> {
+        for batch in order.chunks(self.batch_size) {
+            let step = self.global_step;
+            self.global_step += 1;
+            let (loss, grad_norm) = state.batch(batch, rng, step);
+            let registry = nfm_obs::global();
+            registry.counter(self.telemetry.steps, nfm_obs::Unit::Count).inc();
+            registry
+                .histogram(self.telemetry.grad_norm, nfm_obs::Unit::Milli, nfm_obs::NORM_EDGES)
+                .observe((grad_norm as f64 * 1000.0) as u64);
+            if let Some(cause) = self.config.inspect(loss, grad_norm) {
+                return Some((step, cause));
+            }
+            state.apply();
+        }
+        None
     }
 }
 
@@ -150,19 +317,27 @@ mod tests {
 
     #[test]
     fn healthy_steps_pass() {
-        let g = TrainGuard::new(GuardConfig::default());
+        let g = GuardConfig::default();
         assert_eq!(g.inspect(2.5, 4.0), None);
         assert_eq!(g.inspect(0.0, 0.0), None);
     }
 
     #[test]
     fn non_finite_and_exploding_values_trip() {
-        let g = TrainGuard::new(GuardConfig::default());
+        let g = GuardConfig::default();
         assert!(g.inspect(f32::NAN, 1.0).unwrap().contains("NaN"));
         assert!(g.inspect(f32::INFINITY, 1.0).unwrap().contains("infinite"));
         assert!(g.inspect(1e9, 1.0).unwrap().contains("exceeds"));
         assert!(g.inspect(1.0, f32::NAN).unwrap().contains("gradient"));
         assert!(g.inspect(1.0, 1e9).unwrap().contains("gradient"));
+    }
+
+    #[test]
+    fn epoch_seed_is_stable_and_spreads() {
+        assert_eq!(epoch_seed(1, 0, 0), epoch_seed(1, 0, 0));
+        assert_ne!(epoch_seed(1, 0, 0), epoch_seed(1, 1, 0));
+        assert_ne!(epoch_seed(1, 0, 0), epoch_seed(1, 0, 1));
+        assert_ne!(epoch_seed(1, 0, 0), epoch_seed(2, 0, 0));
     }
 
     #[test]

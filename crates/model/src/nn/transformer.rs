@@ -207,14 +207,6 @@ impl Encoder {
         }
     }
 
-    /// Replace the token-embedding table (e.g. with pre-trained GloVe
-    /// vectors). Panics on shape mismatch.
-    pub fn set_token_embeddings(&mut self, table: Matrix) {
-        assert_eq!(table.rows(), self.config.vocab);
-        assert_eq!(table.cols(), self.config.d_model);
-        self.tok_emb.table.data_mut().copy_from_slice(table.data());
-    }
-
     /// A copy of the token-embedding table (vocab × d_model).
     pub fn token_embeddings(&self) -> &Matrix {
         &self.tok_emb.table
@@ -342,21 +334,6 @@ impl Encoder {
     /// The `[CLS]` (first-position) embedding of a sequence, inference mode.
     pub fn cls_embedding(&self, ids: &[usize]) -> Vec<f32> {
         self.forward_inference(ids, CLS_READOUT).into_data()
-    }
-
-    /// Mean-pooled hidden state, inference mode.
-    pub fn mean_embedding(&self, ids: &[usize]) -> Vec<f32> {
-        let h = self.forward_inference(ids, FULL_READOUT);
-        let mut out = vec![0.0f32; h.cols()];
-        for r in 0..h.rows() {
-            for (o, v) in out.iter_mut().zip(h.row(r)) {
-                *o += v;
-            }
-        }
-        for o in &mut out {
-            *o /= h.rows() as f32;
-        }
-        out
     }
 }
 
@@ -561,23 +538,5 @@ mod tests {
         let config =
             EncoderConfig { vocab: 10, d_model: 8, n_heads: 2, n_layers: 0, d_ff: 8, max_len: 8 };
         let _ = Encoder::new(&mut rng, config);
-    }
-
-    #[test]
-    fn set_token_embeddings_replaces_table() {
-        let (mut enc, mut rng) = small();
-        let table = nfm_tensor::init::normal(&mut rng, 20, 16, 0.1);
-        enc.set_token_embeddings(table.clone());
-        assert_eq!(enc.token_embeddings().data(), table.data());
-    }
-
-    #[test]
-    fn cls_and_mean_embeddings() {
-        let (enc, _) = small();
-        let cls = enc.cls_embedding(&[2, 5, 3]);
-        let mean = enc.mean_embedding(&[2, 5, 3]);
-        assert_eq!(cls.len(), 16);
-        assert_eq!(mean.len(), 16);
-        assert_ne!(cls, mean);
     }
 }

@@ -15,7 +15,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::checkpoint::{load_train_state, save_train_state, TrainState};
-use crate::guard::{GuardConfig, GuardEvent, TrainError, TrainGuard};
+use crate::guard::{
+    epoch_seed, GuardConfig, GuardEvent, Telemetry, TrainError, TrainGuard, Trainee,
+};
 use crate::nn::heads::{ClsHead, MlmHead};
 use crate::nn::transformer::{Encoder, EncoderConfig, CLS_READOUT, FULL_READOUT};
 use crate::vocab::Vocab;
@@ -232,8 +234,9 @@ struct BatchItem {
     nfp: Option<(Vec<usize>, usize)>,
 }
 
-/// Loss bookkeeping accumulated by one gradient shard.
-#[derive(Default)]
+/// Loss bookkeeping accumulated by one gradient shard, and folded per
+/// batch and per epoch.
+#[derive(Debug, Clone, Default)]
 struct ShardSums {
     mlm_loss: f64,
     n_mlm: usize,
@@ -241,6 +244,17 @@ struct ShardSums {
     n_nfp: usize,
     batch_loss: f64,
     batch_items: usize,
+}
+
+impl ShardSums {
+    fn add(&mut self, other: &ShardSums) {
+        self.mlm_loss += other.mlm_loss;
+        self.n_mlm += other.n_mlm;
+        self.nfp_loss += other.nfp_loss;
+        self.n_nfp += other.n_nfp;
+        self.batch_loss += other.batch_loss;
+        self.batch_items += other.batch_items;
+    }
 }
 
 /// Gradients for one module, one `Vec<f32>` per parameter in
@@ -295,16 +309,123 @@ fn run_pretrain_shard(
     (enc.export_grads(), mlm.export_grads(), nfp.export_grads(), sums)
 }
 
-/// Deterministic per-epoch stream seed: mixes the base seed, the epoch, and
-/// the guard's retry counter (so a rolled-back epoch replays with a fresh
-/// batch order). SplitMix64-style finalizer.
-pub fn epoch_seed(seed: u64, epoch: usize, salt: u64) -> u64 {
-    let mut z = seed
-        ^ (epoch as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ salt.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// Everything one pre-training run updates — the encoder, both heads,
+/// their optimizers, and the epoch's loss sums — plus the corpus its
+/// batches draw from. [`TrainGuard`] clones it as the epoch-start
+/// snapshot.
+#[derive(Clone)]
+struct PretrainState<'a> {
+    config: &'a PretrainConfig,
+    vocab: &'a Vocab,
+    contexts: &'a [Vec<String>],
+    encoded: &'a [Vec<usize>],
+    encoder: Encoder,
+    mlm_head: MlmHead,
+    nfp_head: ClsHead,
+    opt_enc: Adam,
+    opt_mlm: Adam,
+    opt_nfp: Adam,
+    epoch_sums: ShardSums,
+}
+
+impl Trainee for PretrainState<'_> {
+    fn batch(&mut self, idxs: &[usize], rng: &mut StdRng, step: u64) -> (f32, f32) {
+        let (config, vocab, contexts, encoded) =
+            (self.config, self.vocab, self.contexts, self.encoded);
+        let max_len = self.encoder.config.max_len;
+        self.encoder.zero_grad();
+        self.mlm_head.zero_grad();
+        self.nfp_head.zero_grad();
+        // Stage 1 (sequential): draw every random decision in example
+        // order, exactly as a fully sequential loop would.
+        let mut items: Vec<BatchItem> = Vec::with_capacity(idxs.len());
+        for &idx in idxs {
+            let ids = &encoded[idx];
+            if ids.len() < 3 {
+                continue;
+            }
+            let mlm = (config.tasks.mlm || config.tasks.query_answer).then(|| {
+                let qa = config.tasks.query_answer;
+                let mask_prob = if config.tasks.mlm { config.mask_prob } else { 0.02 };
+                mask_sequence(rng, ids, vocab, mask_prob, qa)
+            });
+            let nfp = (config.tasks.next_flow && encoded.len() > 2).then(|| {
+                // Positive: the temporally-next context. Negative: a random
+                // one.
+                let is_next = rng.gen_bool(0.5);
+                let other = if is_next && idx + 1 < contexts.len() {
+                    idx + 1
+                } else {
+                    rng.gen_range(0..contexts.len())
+                };
+                let label = usize::from(is_next && other == idx + 1);
+                (encode_pair(vocab, &contexts[idx], &contexts[other], max_len), label)
+            });
+            items.push(BatchItem { mlm, nfp });
+        }
+        // Stage 2 (parallel): forward/backward each fixed shard on model
+        // replicas. Shard boundaries depend only on the item count, never
+        // on the thread count. The dispatch is work-gated: a backward pass
+        // costs roughly twice the forward, and below the gate the
+        // per-batch spawn (plus per-shard model clone + gradient
+        // reduction) costs more than it saves, so small batches run inline.
+        let batch_work: usize = items
+            .iter()
+            .map(|it| {
+                let mlm_t = it.mlm.as_ref().map_or(0, |(ids, _)| ids.len());
+                let nfp_t = it.nfp.as_ref().map_or(0, |(ids, _)| ids.len());
+                3 * (self.encoder.inference_cost(mlm_t) + self.encoder.inference_cost(nfp_t))
+                    as usize
+            })
+            .sum();
+        let shards = pool::shard_ranges(items.len(), pool::REDUCE_SHARDS);
+        let results = pool::par_map_work(shards.len(), batch_work, |s| {
+            run_pretrain_shard(
+                &self.encoder,
+                &self.mlm_head,
+                &self.nfp_head,
+                &items[shards[s].clone()],
+            )
+        });
+        // Stage 3 (sequential): reduce gradients and loss partials in shard
+        // order — a fixed-shape summation tree.
+        let mut batch = ShardSums::default();
+        for (enc_g, mlm_g, nfp_g, sums) in results {
+            self.encoder.accumulate_grads(&enc_g);
+            self.mlm_head.accumulate_grads(&mlm_g);
+            self.nfp_head.accumulate_grads(&nfp_g);
+            self.epoch_sums.add(&sums);
+            batch.add(&sums);
+        }
+        let mut check_loss = if batch.batch_items > 0 {
+            (batch.batch_loss / batch.batch_items as f64) as f32
+        } else {
+            0.0
+        };
+        if config.inject_nan_at.contains(&step) {
+            check_loss = f32::NAN;
+        }
+        let mut grad_norm = clip_global_norm(&mut self.encoder, 5.0);
+        grad_norm = grad_norm.max(clip_global_norm(&mut self.mlm_head, 5.0));
+        if config.tasks.next_flow {
+            grad_norm = grad_norm.max(clip_global_norm(&mut self.nfp_head, 5.0));
+        }
+        (check_loss, grad_norm)
+    }
+
+    fn apply(&mut self) {
+        self.opt_enc.step(&mut self.encoder);
+        self.opt_mlm.step(&mut self.mlm_head);
+        if self.config.tasks.next_flow {
+            self.opt_nfp.step(&mut self.nfp_head);
+        }
+    }
+
+    fn set_lr_scale(&mut self, scale: f32) {
+        self.opt_enc.set_lr_scale(scale);
+        self.opt_mlm.set_lr_scale(scale);
+        self.opt_nfp.set_lr_scale(scale);
+    }
 }
 
 /// Pre-train an encoder on `contexts` (token sequences in capture order).
@@ -338,9 +459,9 @@ pub fn pretrain(
     // resumed run can rebuild identical initial weights without replaying
     // any training randomness.
     let mut init_rng = StdRng::seed_from_u64(config.seed);
-    let mut encoder = Encoder::new(&mut init_rng, encoder_config);
-    let mut mlm_head = MlmHead::new(&mut init_rng, encoder_config.d_model, vocab.len());
-    let mut nfp_head = ClsHead::new(&mut init_rng, encoder_config.d_model, 2);
+    let encoder = Encoder::new(&mut init_rng, encoder_config);
+    let mlm_head = MlmHead::new(&mut init_rng, encoder_config.d_model, vocab.len());
+    let nfp_head = ClsHead::new(&mut init_rng, encoder_config.d_model, 2);
     let max_len = encoder_config.max_len;
 
     let encoded: Vec<Vec<usize>> =
@@ -350,9 +471,19 @@ pub fn pretrain(
     let total = (steps_per_epoch * config.epochs).max(1);
     let schedule =
         Schedule::WarmupLinear { peak: config.lr, warmup: total / 10 + 1, total: total + 1 };
-    let mut opt_enc = Adam::new(schedule);
-    let mut opt_mlm = Adam::new(schedule);
-    let mut opt_nfp = Adam::new(schedule);
+    let mut st = PretrainState {
+        config,
+        vocab,
+        contexts,
+        encoded: &encoded,
+        encoder,
+        mlm_head,
+        nfp_head,
+        opt_enc: Adam::new(schedule),
+        opt_mlm: Adam::new(schedule),
+        opt_nfp: Adam::new(schedule),
+        epoch_sums: ShardSums::default(),
+    };
 
     let mut stats = PretrainStats {
         mlm_loss: Vec::new(),
@@ -362,23 +493,21 @@ pub fn pretrain(
         resumed_at: None,
     };
 
-    let mut guard = TrainGuard::new(config.guard);
-    let mut lr_scale = 1.0f32;
-    let mut total_retries = 0u64;
-    let mut global_step = 0u64;
+    let mut guard =
+        TrainGuard::new(config.guard, Telemetry::PRETRAIN, config.seed, config.batch_size);
     let mut start_epoch = 0usize;
 
     if let Some(path) = &config.resume_from {
         let state = load_train_state(path)?;
-        encoder = state.encoder;
-        mlm_head = state.mlm_head;
-        nfp_head = state.nfp_head;
-        opt_enc = state.opt_enc;
-        opt_mlm = state.opt_mlm;
-        opt_nfp = state.opt_nfp;
-        lr_scale = state.lr_scale;
-        total_retries = state.total_retries;
-        global_step = state.global_step;
+        st.encoder = state.encoder;
+        st.mlm_head = state.mlm_head;
+        st.nfp_head = state.nfp_head;
+        st.opt_enc = state.opt_enc;
+        st.opt_mlm = state.opt_mlm;
+        st.opt_nfp = state.opt_nfp;
+        guard.lr_scale = state.lr_scale;
+        guard.total_retries = state.total_retries;
+        guard.global_step = state.global_step;
         start_epoch = state.next_epoch;
         stats.mlm_loss = state.mlm_loss;
         stats.next_flow_loss = state.next_flow_loss;
@@ -386,175 +515,33 @@ pub fn pretrain(
     }
 
     for epoch in start_epoch..config.epochs {
-        let mut attempt = 0usize;
-        loop {
-            // Last-good snapshot for divergence rollback.
-            let snapshot = (
-                encoder.clone(),
-                mlm_head.clone(),
-                nfp_head.clone(),
-                opt_enc.clone(),
-                opt_mlm.clone(),
-                opt_nfp.clone(),
-            );
-            // Deterministic shuffle from the identity permutation — the
-            // order must depend only on (seed, epoch, retries), never on
-            // previous epochs, or resumed runs would diverge. The retry
-            // counter feeds the seed so a rolled-back epoch sees a
-            // different batch order.
-            let mut order: Vec<usize> = (0..encoded.len()).collect();
-            let mut rng = StdRng::seed_from_u64(epoch_seed(config.seed, epoch, total_retries));
-            for i in (1..order.len()).rev() {
-                order.swap(i, rng.gen_range(0..=i));
-            }
-            let mut epoch_mlm = 0.0f64;
-            let mut epoch_nfp = 0.0f64;
-            let mut n_mlm = 0usize;
-            let mut n_nfp = 0usize;
-            let mut tripped: Option<String> = None;
-            'batches: for batch in order.chunks(config.batch_size) {
-                encoder.zero_grad();
-                mlm_head.zero_grad();
-                nfp_head.zero_grad();
-                // Stage 1 (sequential): draw every random decision in
-                // example order, exactly as a fully sequential loop would.
-                let mut items: Vec<BatchItem> = Vec::with_capacity(batch.len());
-                for &idx in batch {
-                    let ids = &encoded[idx];
-                    if ids.len() < 3 {
-                        continue;
-                    }
-                    let mlm = (config.tasks.mlm || config.tasks.query_answer).then(|| {
-                        let qa = config.tasks.query_answer;
-                        let mask_prob = if config.tasks.mlm { config.mask_prob } else { 0.02 };
-                        mask_sequence(&mut rng, ids, vocab, mask_prob, qa)
-                    });
-                    let nfp = (config.tasks.next_flow && encoded.len() > 2).then(|| {
-                        // Positive: the temporally-next context. Negative: a
-                        // random one.
-                        let is_next = rng.gen_bool(0.5);
-                        let other = if is_next && idx + 1 < contexts.len() {
-                            idx + 1
-                        } else {
-                            rng.gen_range(0..contexts.len())
-                        };
-                        let label = usize::from(is_next && other == idx + 1);
-                        (encode_pair(vocab, &contexts[idx], &contexts[other], max_len), label)
-                    });
-                    items.push(BatchItem { mlm, nfp });
-                }
-                // Stage 2 (parallel): forward/backward each fixed shard on
-                // model replicas. Shard boundaries depend only on the item
-                // count, never on the thread count. The dispatch is work-
-                // gated: a backward pass costs roughly twice the forward,
-                // and below the gate the per-batch spawn (plus per-shard
-                // model clone + gradient reduction) costs more than it
-                // saves, so small batches run inline.
-                let batch_work: usize = items
-                    .iter()
-                    .map(|it| {
-                        let mlm_t = it.mlm.as_ref().map_or(0, |(ids, _)| ids.len());
-                        let nfp_t = it.nfp.as_ref().map_or(0, |(ids, _)| ids.len());
-                        3 * (encoder.inference_cost(mlm_t) + encoder.inference_cost(nfp_t)) as usize
-                    })
-                    .sum();
-                let shards = pool::shard_ranges(items.len(), pool::REDUCE_SHARDS);
-                let results = pool::par_map_work(shards.len(), batch_work, |s| {
-                    run_pretrain_shard(&encoder, &mlm_head, &nfp_head, &items[shards[s].clone()])
-                });
-                // Stage 3 (sequential): reduce gradients and loss partials
-                // in shard order — a fixed-shape summation tree.
-                let mut batch_loss = 0.0f64;
-                let mut batch_items = 0usize;
-                for (enc_g, mlm_g, nfp_g, sums) in results {
-                    encoder.accumulate_grads(&enc_g);
-                    mlm_head.accumulate_grads(&mlm_g);
-                    nfp_head.accumulate_grads(&nfp_g);
-                    epoch_mlm += sums.mlm_loss;
-                    n_mlm += sums.n_mlm;
-                    epoch_nfp += sums.nfp_loss;
-                    n_nfp += sums.n_nfp;
-                    batch_loss += sums.batch_loss;
-                    batch_items += sums.batch_items;
-                }
-                let step = global_step;
-                global_step += 1;
-                let mut check_loss =
-                    if batch_items > 0 { (batch_loss / batch_items as f64) as f32 } else { 0.0 };
-                if config.inject_nan_at.contains(&step) {
-                    check_loss = f32::NAN;
-                }
-                let mut grad_norm = clip_global_norm(&mut encoder, 5.0);
-                grad_norm = grad_norm.max(clip_global_norm(&mut mlm_head, 5.0));
-                if config.tasks.next_flow {
-                    grad_norm = grad_norm.max(clip_global_norm(&mut nfp_head, 5.0));
-                }
-                nfm_obs::counter!("train.steps").inc();
-                nfm_obs::histogram!(
-                    "train.grad_norm_milli",
-                    nfm_obs::Unit::Milli,
-                    nfm_obs::NORM_EDGES
-                )
-                .observe((grad_norm as f64 * 1000.0) as u64);
-                if let Some(cause) = guard.inspect(check_loss, grad_norm) {
-                    tripped = Some(cause);
-                    break 'batches;
-                }
-                opt_enc.step(&mut encoder);
-                opt_mlm.step(&mut mlm_head);
-                if config.tasks.next_flow {
-                    opt_nfp.step(&mut nfp_head);
-                }
-            }
-            if let Some(cause) = tripped {
-                attempt += 1;
-                total_retries += 1;
-                (encoder, mlm_head, nfp_head, opt_enc, opt_mlm, opt_nfp) = snapshot;
-                lr_scale *= config.guard.lr_backoff;
-                opt_enc.set_lr_scale(lr_scale);
-                opt_mlm.set_lr_scale(lr_scale);
-                opt_nfp.set_lr_scale(lr_scale);
-                nfm_obs::counter!("train.rollbacks").inc();
-                nfm_obs::event(
-                    "train.guard.rollback",
-                    &[
-                        ("epoch", nfm_obs::Value::U(epoch as u64)),
-                        ("step", nfm_obs::Value::U(global_step - 1)),
-                        ("cause", nfm_obs::Value::S(&cause)),
-                        ("lr_scale", nfm_obs::Value::F32(lr_scale)),
-                    ],
-                );
-                let action = format!(
-                    "rolled back to epoch {epoch} start; lr_scale {lr_scale:.4}; reshuffled"
-                );
-                guard.record(epoch, global_step - 1, cause, action);
-                if attempt > config.guard.max_retries {
-                    return Err(TrainError::Diverged { attempts: attempt, log: guard.events });
-                }
-                continue;
-            }
-            stats.mlm_loss.push(if n_mlm > 0 { (epoch_mlm / n_mlm as f64) as f32 } else { 0.0 });
-            if config.tasks.next_flow {
-                stats.next_flow_loss.push(if n_nfp > 0 {
-                    (epoch_nfp / n_nfp as f64) as f32
-                } else {
-                    0.0
-                });
-            }
-            nfm_obs::counter!("train.epochs").inc();
-            let mut fields = vec![
-                ("epoch", nfm_obs::Value::U(epoch as u64)),
-                ("mlm_loss", nfm_obs::Value::F32(*stats.mlm_loss.last().unwrap_or(&0.0))),
-            ];
-            if config.tasks.next_flow {
-                fields.push((
-                    "nfp_loss",
-                    nfm_obs::Value::F32(*stats.next_flow_loss.last().unwrap_or(&0.0)),
-                ));
-            }
-            nfm_obs::event("train.epoch", &fields);
-            break;
+        st.epoch_sums = ShardSums::default();
+        guard.epoch(epoch, encoded.len(), &mut st)?;
+        let sums = &st.epoch_sums;
+        stats.mlm_loss.push(if sums.n_mlm > 0 {
+            (sums.mlm_loss / sums.n_mlm as f64) as f32
+        } else {
+            0.0
+        });
+        if config.tasks.next_flow {
+            stats.next_flow_loss.push(if sums.n_nfp > 0 {
+                (sums.nfp_loss / sums.n_nfp as f64) as f32
+            } else {
+                0.0
+            });
         }
+        nfm_obs::counter!("train.epochs").inc();
+        let mut fields = vec![
+            ("epoch", nfm_obs::Value::U(epoch as u64)),
+            ("mlm_loss", nfm_obs::Value::F32(*stats.mlm_loss.last().unwrap_or(&0.0))),
+        ];
+        if config.tasks.next_flow {
+            fields.push((
+                "nfp_loss",
+                nfm_obs::Value::F32(*stats.next_flow_loss.last().unwrap_or(&0.0)),
+            ));
+        }
+        nfm_obs::event("train.epoch", &fields);
         if let Some(dir) = &config.snapshot_dir {
             let every = config.snapshot_every.max(1);
             if (epoch + 1) % every == 0 || epoch + 1 == config.epochs {
@@ -562,17 +549,17 @@ pub fn pretrain(
                     .map_err(nfm_tensor::checkpoint::CheckpointError::from)?;
                 let mut state = TrainState {
                     next_epoch: epoch + 1,
-                    global_step,
-                    total_retries,
-                    lr_scale,
+                    global_step: guard.global_step,
+                    total_retries: guard.total_retries,
+                    lr_scale: guard.lr_scale,
                     mlm_loss: stats.mlm_loss.clone(),
                     next_flow_loss: stats.next_flow_loss.clone(),
-                    encoder: encoder.clone(),
-                    mlm_head: mlm_head.clone(),
-                    nfp_head: nfp_head.clone(),
-                    opt_enc: opt_enc.clone(),
-                    opt_mlm: opt_mlm.clone(),
-                    opt_nfp: opt_nfp.clone(),
+                    encoder: st.encoder.clone(),
+                    mlm_head: st.mlm_head.clone(),
+                    nfp_head: st.nfp_head.clone(),
+                    opt_enc: st.opt_enc.clone(),
+                    opt_mlm: st.opt_mlm.clone(),
+                    opt_nfp: st.opt_nfp.clone(),
                 };
                 save_train_state(&dir.join(format!("snapshot_ep{}.nfmc", epoch + 1)), &mut state)?;
             }
@@ -593,11 +580,11 @@ pub fn pretrain(
         .map(|ids| mask_sequence(&mut eval_rng, ids, vocab, config.mask_prob, false))
         .collect();
     let eval_work: usize =
-        masked.iter().map(|(input, _)| encoder.inference_cost(input.len()) as usize).sum();
+        masked.iter().map(|(input, _)| st.encoder.inference_cost(input.len()) as usize).sum();
     let counts = pool::par_map_work(masked.len(), eval_work, |i| {
         let (input, targets) = &masked[i];
-        let hidden = encoder.forward_inference(input, FULL_READOUT);
-        let preds = mlm_head.forward_inference(&hidden).argmax_rows();
+        let hidden = st.encoder.forward_inference(input, FULL_READOUT);
+        let preds = st.mlm_head.forward_inference(&hidden).argmax_rows();
         let scored = targets.iter().zip(preds).filter(|&(&t, _)| t != IGNORE_INDEX);
         scored.fold((0usize, 0usize), |(hit, n), (&t, p)| (hit + usize::from(p == t), n + 1))
     });
@@ -608,7 +595,7 @@ pub fn pretrain(
     stats.guard_events = guard.events;
     run_span.add_cost(macs.get().saturating_sub(macs_at_start));
 
-    Ok((encoder, mlm_head, stats))
+    Ok((st.encoder, st.mlm_head, stats))
 }
 
 #[cfg(test)]
@@ -937,13 +924,5 @@ mod tests {
             }
             other => panic!("expected Diverged, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn epoch_seed_is_stable_and_spreads() {
-        assert_eq!(epoch_seed(1, 0, 0), epoch_seed(1, 0, 0));
-        assert_ne!(epoch_seed(1, 0, 0), epoch_seed(1, 1, 0));
-        assert_ne!(epoch_seed(1, 0, 0), epoch_seed(1, 0, 1));
-        assert_ne!(epoch_seed(1, 0, 0), epoch_seed(2, 0, 0));
     }
 }

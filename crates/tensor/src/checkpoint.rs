@@ -30,7 +30,8 @@ pub const KIND_MATRIX: u8 = 1;
 pub const KIND_ADAM: u8 = 2;
 /// Record kind: a transformer encoder (config + parameters).
 pub const KIND_ENCODER: u8 = 3;
-/// Record kind: a vocabulary.
+/// Record kind: a vocabulary alone. No writer emits it; the tag stays
+/// reserved so it is never reused for another payload.
 pub const KIND_VOCAB: u8 = 4;
 /// Record kind: a full foundation model (vocab + encoder).
 pub const KIND_MODEL: u8 = 5;

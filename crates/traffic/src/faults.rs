@@ -257,24 +257,13 @@ pub enum ReplicaFaultKind {
     /// The replica slows down by `factor` (GC pause, noisy neighbour,
     /// thermal throttle): every request costs `factor`× its normal budget.
     Stall {
-        /// Cost multiplier (≥ 2 when emitted by [`replica_fault_schedule`]).
+        /// Cost multiplier.
         factor: u64,
     },
     /// The replica's in-memory weights are silently corrupted (bit rot,
     /// faulty DIMM): it still accepts requests but produces garbage the
     /// health probes must catch.
     CorruptWeights,
-}
-
-impl ReplicaFaultKind {
-    /// Short name for events and report tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ReplicaFaultKind::Crash => "crash",
-            ReplicaFaultKind::Stall { .. } => "stall",
-            ReplicaFaultKind::CorruptWeights => "corrupt_weights",
-        }
-    }
 }
 
 /// One scheduled replica fault: at the start of burst `at_burst`, replica
@@ -289,101 +278,9 @@ pub struct ReplicaFault {
     pub kind: ReplicaFaultKind,
 }
 
-/// Per-burst fault process for a replica cluster; probabilities in [0, 1].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReplicaFaultConfig {
-    /// Probability per (burst, replica) of a crash.
-    pub crash_chance: f64,
-    /// Probability per (burst, replica) of a stall starting.
-    pub stall_chance: f64,
-    /// Probability per (burst, replica) of weight corruption.
-    pub corrupt_chance: f64,
-    /// Largest stall factor emitted (minimum 2).
-    pub max_stall_factor: u64,
-    /// Seed for the fault process.
-    pub seed: u64,
-}
-
-impl Default for ReplicaFaultConfig {
-    fn default() -> Self {
-        ReplicaFaultConfig {
-            crash_chance: 0.0,
-            stall_chance: 0.0,
-            corrupt_chance: 0.0,
-            max_stall_factor: 8,
-            seed: 1,
-        }
-    }
-}
-
-impl ReplicaFaultConfig {
-    /// Check every probability is a finite value in [0, 1]; same contract
-    /// as [`FaultConfig::validate`].
-    pub fn validate(&self) -> Result<(), FaultError> {
-        let fields = [
-            ("crash_chance", self.crash_chance),
-            ("stall_chance", self.stall_chance),
-            ("corrupt_chance", self.corrupt_chance),
-        ];
-        let bad: Vec<(&'static str, f64)> = fields
-            .iter()
-            .filter(|(_, v)| !v.is_finite() || !(0.0..=1.0).contains(v))
-            .copied()
-            .collect();
-        if bad.is_empty() {
-            Ok(())
-        } else {
-            Err(FaultError::OutOfRange { fields: bad })
-        }
-    }
-
-    fn clamped(&self) -> ReplicaFaultConfig {
-        let clamp = |v: f64| if v.is_finite() { v.clamp(0.0, 1.0) } else { 0.0 };
-        ReplicaFaultConfig {
-            crash_chance: clamp(self.crash_chance),
-            stall_chance: clamp(self.stall_chance),
-            corrupt_chance: clamp(self.corrupt_chance),
-            ..*self
-        }
-    }
-}
-
-/// Draw a deterministic replica-fault schedule: for each of `n_bursts`
-/// cluster ticks and each of `n_replicas` replicas, at most one fault fires
-/// (crash wins over stall wins over corruption when several are drawn).
-/// The result is sorted by `(at_burst, replica)` and reproducible under
-/// `config.seed`; out-of-range chances are clamped like [`inject`].
-pub fn replica_fault_schedule(
-    n_replicas: usize,
-    n_bursts: usize,
-    config: &ReplicaFaultConfig,
-) -> Vec<ReplicaFault> {
-    let config = config.clamped();
-    let mut rng = StdRng::seed_from_u64(config.seed ^ 0xC7_u64.rotate_left(24));
-    let mut out = Vec::new();
-    for burst in 0..n_bursts {
-        for replica in 0..n_replicas {
-            let kind = if config.crash_chance > 0.0 && rng.gen_bool(config.crash_chance) {
-                Some(ReplicaFaultKind::Crash)
-            } else if config.stall_chance > 0.0 && rng.gen_bool(config.stall_chance) {
-                let factor = rng.gen_range(2..=config.max_stall_factor.max(2));
-                Some(ReplicaFaultKind::Stall { factor })
-            } else if config.corrupt_chance > 0.0 && rng.gen_bool(config.corrupt_chance) {
-                Some(ReplicaFaultKind::CorruptWeights)
-            } else {
-                None
-            };
-            if let Some(kind) = kind {
-                out.push(ReplicaFault { replica, at_burst: burst, kind });
-            }
-        }
-    }
-    out
-}
-
 /// Distribution-drift process for serving scenarios; magnitudes in [0, 1].
 ///
-/// Unlike [`ReplicaFaultConfig`] (which breaks replicas), this shifts the
+/// Unlike [`ReplicaFault`] (which breaks replicas), this shifts the
 /// *workload*: after `onset_burst`, traffic is generated from an app mix
 /// blended away from the baseline by `mix_shift` (covariate drift), and
 /// ground-truth labels are remapped with `label_flip_chance` per class
@@ -663,50 +560,6 @@ mod tests {
         }
         // Many packets survive (corruption often hits payload bytes).
         assert!(tokenized > noisy.len() / 3, "{tokenized}/{}", noisy.len());
-    }
-
-    #[test]
-    fn replica_fault_schedule_is_deterministic_and_bounded() {
-        let cfg = ReplicaFaultConfig {
-            crash_chance: 0.05,
-            stall_chance: 0.1,
-            corrupt_chance: 0.05,
-            max_stall_factor: 6,
-            seed: 42,
-        };
-        let a = replica_fault_schedule(3, 100, &cfg);
-        let b = replica_fault_schedule(3, 100, &cfg);
-        assert_eq!(a, b, "same seed, same schedule");
-        assert!(!a.is_empty(), "faults actually occur at these rates");
-        for f in &a {
-            assert!(f.replica < 3);
-            assert!(f.at_burst < 100);
-            if let ReplicaFaultKind::Stall { factor } = f.kind {
-                assert!((2..=6).contains(&factor), "stall factor {factor}");
-            }
-        }
-        // Sorted by (burst, replica) because of generation order.
-        let keys: Vec<(usize, usize)> = a.iter().map(|f| (f.at_burst, f.replica)).collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted);
-        // All three kinds appear over a long enough horizon.
-        let names: Vec<&str> = a.iter().map(|f| f.kind.name()).collect();
-        for want in ["crash", "stall", "corrupt_weights"] {
-            assert!(names.contains(&want), "missing kind {want}");
-        }
-    }
-
-    #[test]
-    fn replica_fault_schedule_clamps_and_validates() {
-        // Zero chances: no faults ever.
-        assert!(replica_fault_schedule(4, 50, &ReplicaFaultConfig::default()).is_empty());
-        // NaN clamps to 0 instead of panicking.
-        let nan = ReplicaFaultConfig { crash_chance: f64::NAN, ..ReplicaFaultConfig::default() };
-        assert!(replica_fault_schedule(2, 20, &nan).is_empty());
-        assert!(nan.validate().is_err());
-        let ok = ReplicaFaultConfig { crash_chance: 0.5, ..ReplicaFaultConfig::default() };
-        assert!(ok.validate().is_ok());
     }
 
     #[test]
