@@ -1010,48 +1010,12 @@ impl ClusterSupervisor {
 mod tests {
     use super::*;
     use crate::baselines::MajorityBaseline;
-    use crate::pipeline::{FineTuneConfig, FoundationModel, PipelineConfig, TextExample};
-    use nfm_model::pretrain::{PretrainConfig, TaskMix};
+    use crate::pipeline::{FineTuneConfig, TextExample};
     use nfm_model::tokenize::field::FieldTokenizer;
-    use nfm_traffic::netsim::{simulate, SimConfig};
 
     fn tiny_parts() -> (FmClassifier, Trace) {
-        let lt = simulate(&SimConfig {
-            n_sessions: 30,
-            n_general_hosts: 3,
-            n_iot_sets: 1,
-            ..SimConfig::default()
-        });
-        let tok = FieldTokenizer::new();
-        let cfg = PipelineConfig {
-            d_model: 16,
-            n_heads: 2,
-            n_layers: 1,
-            d_ff: 32,
-            max_len: 48,
-            pretrain: PretrainConfig {
-                epochs: 1,
-                tasks: TaskMix::mlm_only(),
-                ..PretrainConfig::default()
-            },
-            ..PipelineConfig::default()
-        };
-        let (fm, _) =
-            FoundationModel::pretrain_on(&[&lt.trace], &tok, &cfg).expect("pretraining failed");
-        let train: Vec<TextExample> = (0..10)
-            .map(|i| TextExample {
-                tokens: vec![if i % 2 == 0 { "PORT_53" } else { "PORT_443" }.to_string()],
-                label: i % 2,
-            })
-            .collect();
-        let clf = FmClassifier::fine_tune(
-            &fm,
-            &train,
-            2,
-            &FineTuneConfig { epochs: 2, ..FineTuneConfig::default() },
-        )
-        .expect("fine-tuning failed");
-        (clf, lt.trace)
+        let tiny = crate::fixture::tiny();
+        (tiny.clf.clone(), tiny.trace.clone())
     }
 
     fn majority() -> Fallback {
@@ -1231,13 +1195,21 @@ mod tests {
         assert!(sa.corruptions_injected == 1 && sa.crashes_injected == 1);
     }
 
-    #[test]
-    fn label_drift_triggers_adaptation_and_canary_rollout() {
-        let (clf, trace) = tiny_parts();
+    /// The label-drift scenario: a three-replica cluster with adaptation
+    /// armed and a score detector calibrated on the traffic it serves (so
+    /// only the feedback signal can trip), two passes of feedback that
+    /// agrees with the incumbent, then six passes of `drifted` feedback.
+    /// Returns the cluster and the served flows under the incumbent's
+    /// labels.
+    fn label_drift_run(
+        clf: &FmClassifier,
+        trace: &Trace,
+        dir: &Path,
+        adapt: AdaptConfig,
+        drifted: &dyn Fn(&[String]) -> Option<usize>,
+    ) -> (ClusterSupervisor, Vec<TextExample>) {
         let tok = FieldTokenizer::new();
-        // Calibrate on the traffic the cluster will actually serve so the
-        // score detector stays quiet; this test drives the feedback signal.
-        let (requests, _) = assemble_requests(&trace, &tok, ServeConfig::default().max_tokens);
+        let (requests, _) = assemble_requests(trace, &tok, ServeConfig::default().max_tokens);
         let reference: Vec<TextExample> = requests
             .iter()
             .map(|r| TextExample { tokens: r.tokens.clone(), label: clf.predict(&r.tokens) })
@@ -1249,32 +1221,35 @@ mod tests {
             err_lambda_milli: 2_000,
             ..crate::ood::DriftConfig::default()
         };
-        let monitor = DriftMonitor::calibrate(&clf, &reference, drift_cfg);
-        let dir = temp_dir("adapt");
-        let mut cluster = build(&clf, 3, &dir, ClusterConfig::default());
-        cluster.enable_adaptation(
-            monitor,
-            AdaptConfig {
-                min_quarantine: 4,
-                fine_tune: FineTuneConfig { epochs: 4, ..FineTuneConfig::default() },
-                ..AdaptConfig::default()
-            },
-        );
+        let monitor = DriftMonitor::calibrate(clf, &reference, drift_cfg);
+        let mut cluster = build(clf, 3, dir, ClusterConfig::default());
+        cluster.enable_adaptation(monitor, adapt);
         let schedule = vec![2usize; 64];
-        let oracle = clf.clone();
-        let agree = |t: &[String]| Some(oracle.predict(t));
-        let flip = |t: &[String]| Some(1 - oracle.predict(t));
-        // Phase 1: ground truth agrees with the incumbent — nothing adapts.
+        let agree = |t: &[String]| Some(clf.predict(t));
         for _ in 0..2 {
-            cluster.serve_trace(&trace, &tok, &schedule, &[]);
+            cluster.serve_trace(trace, &tok, &schedule, &[]);
             cluster.apply_feedback(&agree);
         }
         assert_eq!(cluster.stats().adaptations_started, 0, "no drift, no adaptation");
-        // Phase 2: every label flips, so every answer is suddenly wrong.
         for _ in 0..6 {
-            cluster.serve_trace(&trace, &tok, &schedule, &[]);
-            cluster.apply_feedback(&flip);
+            cluster.serve_trace(trace, &tok, &schedule, &[]);
+            cluster.apply_feedback(drifted);
         }
+        (cluster, reference)
+    }
+
+    #[test]
+    fn label_drift_triggers_adaptation_and_canary_rollout() {
+        let (clf, trace) = tiny_parts();
+        let dir = temp_dir("adapt");
+        // Every label flips, so every answer is suddenly wrong.
+        let flip = |t: &[String]| Some(1 - clf.predict(t));
+        let adapt = AdaptConfig {
+            min_quarantine: 4,
+            fine_tune: FineTuneConfig { epochs: 4, ..FineTuneConfig::default() },
+            ..AdaptConfig::default()
+        };
+        let (cluster, reference) = label_drift_run(&clf, &trace, &dir, adapt, &flip);
         let stats = cluster.stats();
         assert!(stats.adaptations_started >= 1, "label drift must schedule an adaptation");
         assert!(stats.quarantine_drained >= 4, "adaptation must consume quarantined traffic");
@@ -1296,49 +1271,43 @@ mod tests {
     }
 
     #[test]
+    fn feedback_labels_outside_the_head_are_unknown_not_training_targets() {
+        let (clf, trace) = tiny_parts();
+        let dir = temp_dir("adapt_bad_label");
+        let n_classes = clf.head().n_classes;
+        // The oracle names a class the head does not have for part of the
+        // traffic and flips the label of the rest.
+        let flip = |t: &[String]| {
+            Some(if t.len().is_multiple_of(2) { n_classes } else { 1 - clf.predict(t) })
+        };
+        let adapt = AdaptConfig {
+            min_quarantine: 4,
+            fine_tune: FineTuneConfig { epochs: 4, ..FineTuneConfig::default() },
+            ..AdaptConfig::default()
+        };
+        let (cluster, _) = label_drift_run(&clf, &trace, &dir, adapt, &flip);
+        let stats = cluster.stats();
+        assert_eq!(stats.adaptations_started, 1, "the flipped labels still drive an adaptation");
+        assert_eq!(stats.rollouts_completed, 1, "and its candidate promotes fleet-wide");
+        assert_eq!(stats.rollbacks, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn head_only_adaptation_leaves_backbone_untouched() {
         use nfm_tensor::layers::Module;
         let (clf, trace) = tiny_parts();
-        let tok = FieldTokenizer::new();
-        let (requests, _) = assemble_requests(&trace, &tok, ServeConfig::default().max_tokens);
-        let reference: Vec<TextExample> = requests
-            .iter()
-            .map(|r| TextExample { tokens: r.tokens.clone(), label: clf.predict(&r.tokens) })
-            .collect();
-        let drift_cfg = crate::ood::DriftConfig {
-            lambda_milli: 1_000_000,
-            quarantine_threshold_milli: 1_000_000,
-            err_warmup: 4,
-            err_lambda_milli: 2_000,
-            ..crate::ood::DriftConfig::default()
-        };
-        let monitor = DriftMonitor::calibrate(&clf, &reference, drift_cfg);
         let dir = temp_dir("adapt_head_only");
-        let mut cluster = build(&clf, 3, &dir, ClusterConfig::default());
-        cluster.enable_adaptation(
-            monitor,
-            AdaptConfig {
-                min_quarantine: 4,
-                // A hotter, longer head-only fit: with the encoder frozen
-                // only the head can absorb the flipped labels.
-                fine_tune: FineTuneConfig { epochs: 8, lr: 1e-2, ..FineTuneConfig::default() },
-                head_only: true,
-                ..AdaptConfig::default()
-            },
-        );
-        let schedule = vec![2usize; 64];
-        let oracle = clf.clone();
-        let agree = |t: &[String]| Some(oracle.predict(t));
-        let flip = |t: &[String]| Some(1 - oracle.predict(t));
-        // Establish a healthy error baseline, then flip every label.
-        for _ in 0..2 {
-            cluster.serve_trace(&trace, &tok, &schedule, &[]);
-            cluster.apply_feedback(&agree);
-        }
-        for _ in 0..6 {
-            cluster.serve_trace(&trace, &tok, &schedule, &[]);
-            cluster.apply_feedback(&flip);
-        }
+        let flip = |t: &[String]| Some(1 - clf.predict(t));
+        let adapt = AdaptConfig {
+            min_quarantine: 4,
+            // A hotter, longer head-only fit: with the encoder frozen
+            // only the head can absorb the flipped labels.
+            fine_tune: FineTuneConfig { epochs: 8, lr: 1e-2, ..FineTuneConfig::default() },
+            head_only: true,
+            ..AdaptConfig::default()
+        };
+        let (cluster, reference) = label_drift_run(&clf, &trace, &dir, adapt, &flip);
         let stats = cluster.stats();
         assert!(stats.adaptations_started >= 1, "label drift must schedule an adaptation");
         assert!(stats.rollouts_started >= 1, "a head-only candidate must still roll out");

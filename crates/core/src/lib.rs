@@ -27,6 +27,8 @@
 
 pub mod baselines;
 pub mod cluster;
+#[cfg(test)]
+mod fixture;
 pub mod interpret;
 pub mod metrics;
 pub mod netglue;

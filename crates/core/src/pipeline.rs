@@ -907,12 +907,6 @@ impl TaskHead {
         Ok(FmClassifier::fine_tune_loop(backbone.clone(), self.clone(), examples, &config)?.head)
     }
 
-    /// Detach the head of an existing fine-tuned classifier (e.g. one
-    /// trained with `freeze_encoder` before heads were first-class).
-    pub fn from_classifier(clf: &FmClassifier, name: &str) -> TaskHead {
-        TaskHead { name: name.to_string(), ..clf.head.clone() }
-    }
-
     /// A freshly initialized head for `backbone`, seeded by `seed`.
     fn init(name: &str, backbone: &FmBackbone, n_classes: usize, seed: u64) -> TaskHead {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1024,39 +1018,13 @@ impl TaskHead {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixture::tiny;
     use nfm_model::tokenize::field::FieldTokenizer;
     use nfm_traffic::netsim::{simulate, SimConfig};
 
-    fn tiny_fm() -> (FoundationModel, Trace) {
-        let lt = simulate(&SimConfig {
-            n_sessions: 30,
-            n_general_hosts: 3,
-            n_iot_sets: 1,
-            ..SimConfig::default()
-        });
-        let tok = FieldTokenizer::new();
-        let cfg = PipelineConfig {
-            d_model: 16,
-            n_heads: 2,
-            n_layers: 1,
-            d_ff: 32,
-            max_len: 48,
-            pretrain: PretrainConfig {
-                epochs: 1,
-                tasks: nfm_model::pretrain::TaskMix::mlm_only(),
-                ..PretrainConfig::default()
-            },
-            ..PipelineConfig::default()
-        };
-        let (fm, stats) =
-            FoundationModel::pretrain_on(&[&lt.trace], &tok, &cfg).expect("pretraining failed");
-        assert!(!stats.mlm_loss.is_empty());
-        (fm, lt.trace)
-    }
-
     #[test]
     fn pretrain_produces_usable_model() {
-        let (fm, _) = tiny_fm();
+        let fm = tiny().fm.clone();
         assert!(fm.vocab.len() > 10);
         let emb = fm.embed(&["IP4".to_string(), "PROTO_UDP".to_string()]);
         assert_eq!(emb.len(), 16);
@@ -1069,7 +1037,7 @@ mod tests {
         let err = FoundationModel::pretrain_on(&[], &tok, &PipelineConfig::default());
         assert!(matches!(err, Err(PipelineError::NoContexts)));
 
-        let (fm, _) = tiny_fm();
+        let fm = tiny().fm.clone();
         let err = FmClassifier::fine_tune(&fm, &[], 2, &FineTuneConfig::default());
         assert!(matches!(err, Err(PipelineError::NoExamples)));
         // Errors render human-readable messages.
@@ -1079,7 +1047,7 @@ mod tests {
 
     #[test]
     fn model_save_load_round_trip_is_bitwise() {
-        let (fm, _) = tiny_fm();
+        let fm = tiny().fm.clone();
         let dir = std::env::temp_dir().join(format!("nfm_pipeline_ckpt_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("model.nfmc");
@@ -1107,7 +1075,7 @@ mod tests {
 
     #[test]
     fn classifier_save_load_round_trip_is_bitwise() {
-        let (fm, _) = tiny_fm();
+        let fm = tiny().fm.clone();
         let train: Vec<TextExample> = (0..10)
             .map(|i| TextExample {
                 tokens: vec![if i % 2 == 0 { "PORT_53" } else { "PORT_443" }.to_string()],
@@ -1145,7 +1113,7 @@ mod tests {
 
     #[test]
     fn predict_tolerates_nan_logits() {
-        let (fm, _) = tiny_fm();
+        let fm = tiny().fm.clone();
         let train: Vec<TextExample> = (0..10)
             .map(|i| TextExample {
                 tokens: vec![if i % 2 == 0 { "PORT_53" } else { "PORT_443" }.to_string()],
@@ -1164,7 +1132,7 @@ mod tests {
 
     #[test]
     fn logits_within_budget_agrees_with_logits_and_misses_deadlines() {
-        let (fm, _) = tiny_fm();
+        let fm = tiny().fm.clone();
         let train: Vec<TextExample> = (0..10)
             .map(|i| TextExample {
                 tokens: vec![if i % 2 == 0 { "PORT_53" } else { "PORT_443" }.to_string()],
@@ -1198,7 +1166,7 @@ mod tests {
 
     #[test]
     fn fine_tune_learns_separable_labels() {
-        let (fm, _) = tiny_fm();
+        let fm = tiny().fm.clone();
         // Synthetic separable task over tokens the vocab knows.
         let mk = |t: &str, label: usize| TextExample {
             tokens: vec![t.to_string(), "IP4".to_string(), "PROTO_UDP".to_string()],
@@ -1222,7 +1190,7 @@ mod tests {
 
     #[test]
     fn frozen_encoder_only_trains_head() {
-        let (fm, _) = tiny_fm();
+        let fm = tiny().fm.clone();
         let train: Vec<TextExample> = (0..10)
             .map(|i| TextExample {
                 tokens: vec![if i % 2 == 0 { "PORT_53" } else { "PORT_443" }.to_string()],
@@ -1245,7 +1213,7 @@ mod tests {
 
     #[test]
     fn mean_pooling_trains_and_differs_from_cls() {
-        let (fm, _) = tiny_fm();
+        let fm = tiny().fm.clone();
         let train: Vec<TextExample> = (0..20)
             .map(|i| TextExample {
                 tokens: vec![
@@ -1282,7 +1250,7 @@ mod tests {
 
     #[test]
     fn frozen_embeddings_table_is_preserved() {
-        let (fm, _) = tiny_fm();
+        let fm = tiny().fm.clone();
         let train: Vec<TextExample> = (0..12)
             .map(|i| TextExample {
                 tokens: vec![if i % 2 == 0 { "PORT_53" } else { "PORT_443" }.to_string()],
@@ -1306,7 +1274,7 @@ mod tests {
 
     #[test]
     fn fine_tune_weights_identical_across_thread_counts() {
-        let (fm, _) = tiny_fm();
+        let fm = tiny().fm.clone();
         let train: Vec<TextExample> = (0..20)
             .map(|i| TextExample {
                 tokens: vec![
@@ -1374,7 +1342,7 @@ mod tests {
 
     #[test]
     fn fine_tune_divergence_rolls_back_then_is_a_typed_error() {
-        let (fm, _) = tiny_fm();
+        let fm = tiny().fm.clone();
         let train = head_train(2);
         // Every step's loss exceeds 0, so every step trips the guard.
         let cfg = FineTuneConfig {
@@ -1398,7 +1366,7 @@ mod tests {
 
     #[test]
     fn task_head_fine_tune_matches_frozen_classifier_bitwise() {
-        let (fm, _) = tiny_fm();
+        let fm = tiny().fm.clone();
         let train = head_train(3);
         let cfg = FineTuneConfig {
             epochs: 2,
@@ -1439,7 +1407,7 @@ mod tests {
 
     #[test]
     fn task_head_save_load_round_trip_is_bitwise() {
-        let (fm, _) = tiny_fm();
+        let fm = tiny().fm.clone();
         let train = head_train(2);
         let cfg = FineTuneConfig { epochs: 1, pooling: Pooling::Mean, ..FineTuneConfig::default() };
         let clf = FmClassifier::fine_tune(&fm, &train, 2, &cfg).expect("fine-tune");
@@ -1476,7 +1444,7 @@ mod tests {
 
     #[test]
     fn pooled_fanout_matches_logits_within_bitwise() {
-        let (fm, _) = tiny_fm();
+        let fm = tiny().fm.clone();
         let cfg = FineTuneConfig {
             epochs: 1,
             freeze_encoder: true,

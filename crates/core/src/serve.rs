@@ -474,15 +474,6 @@ impl ServeStats {
         }
     }
 
-    /// Fraction of arrivals shed by admission control.
-    pub fn shed_rate(&self) -> f64 {
-        if self.arrived == 0 {
-            0.0
-        } else {
-            self.shed as f64 / self.arrived as f64
-        }
-    }
-
     /// Fold one capture's ingest accounting into these statistics.
     fn record_ingest(&mut self, ingest: &IngestStats) {
         self.malformed_packets += ingest.malformed_packets;
@@ -812,13 +803,18 @@ impl ServeEngine {
     /// its true class when the oracle knows it. Quarantined examples are
     /// relabeled in place; every recent model answer with known truth feeds
     /// the label-drift (feedback error) test, and misclassified answers are
-    /// captured into quarantine under their true label. Returns how many
-    /// times the detector newly tripped.
+    /// captured into quarantine under their true label. A label outside the
+    /// served head's classes (`>= n_classes`) counts as unknown, like
+    /// `None`: it relabels nothing, feeds no error and quarantines nothing,
+    /// so it can never reach a fine-tune as an out-of-range target. Returns
+    /// how many times the detector newly tripped.
     pub fn record_feedback(&mut self, truth: &dyn Fn(&[String]) -> Option<usize>) -> usize {
         if self.drift.is_none() {
             self.recent.clear();
             return 0;
         }
+        let n_classes = self.clf.head().n_classes;
+        let truth = |tokens: &[String]| truth(tokens).filter(|&t| t < n_classes);
         for ex in self.quarantine.items_mut() {
             if let Some(t) = truth(&ex.tokens) {
                 ex.label = t;
@@ -1405,51 +1401,14 @@ impl MultiTaskServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{FineTuneConfig, PipelineConfig, TextExample};
-    use nfm_model::pretrain::{PretrainConfig, TaskMix};
+    use crate::pipeline::{FineTuneConfig, TextExample};
     use nfm_model::tokenize::field::FieldTokenizer;
     use nfm_tensor::layers::Module;
     use nfm_traffic::faults::{burst_schedule, inject, FaultConfig};
-    use nfm_traffic::netsim::{simulate, SimConfig};
 
     fn tiny_engine_parts() -> (FmClassifier, Fallback, Trace) {
-        let lt = simulate(&SimConfig {
-            n_sessions: 30,
-            n_general_hosts: 3,
-            n_iot_sets: 1,
-            ..SimConfig::default()
-        });
-        let tok = FieldTokenizer::new();
-        let cfg = PipelineConfig {
-            d_model: 16,
-            n_heads: 2,
-            n_layers: 1,
-            d_ff: 32,
-            max_len: 48,
-            pretrain: PretrainConfig {
-                epochs: 1,
-                tasks: TaskMix::mlm_only(),
-                ..PretrainConfig::default()
-            },
-            ..PipelineConfig::default()
-        };
-        let (fm, _) =
-            FoundationModel::pretrain_on(&[&lt.trace], &tok, &cfg).expect("pretraining failed");
-        let train: Vec<TextExample> = (0..10)
-            .map(|i| TextExample {
-                tokens: vec![if i % 2 == 0 { "PORT_53" } else { "PORT_443" }.to_string()],
-                label: i % 2,
-            })
-            .collect();
-        let clf = FmClassifier::fine_tune(
-            &fm,
-            &train,
-            2,
-            &FineTuneConfig { epochs: 2, ..FineTuneConfig::default() },
-        )
-        .expect("fine-tuning failed");
-        let fallback = Fallback::Majority(MajorityBaseline::fit(&train, 2));
-        (clf, fallback, lt.trace)
+        let tiny = crate::fixture::tiny();
+        (tiny.clf.clone(), Fallback::Majority(tiny.majority), tiny.trace.clone())
     }
 
     fn drain(engine: &mut ServeEngine, trace: &Trace) -> Vec<Response> {
@@ -1867,6 +1826,37 @@ mod tests {
             mt.lane_offers > requests.len(),
             "with 40% full fan-out, some requests hit both lanes"
         );
+    }
+
+    #[test]
+    fn fanout_runs_the_encoder_once_per_distinct_flow_and_the_heads_once_per_task() {
+        let (backbone, heads, priors, trace) = tiny_multitask_parts();
+        let k = heads.len();
+        let (requests, _) =
+            assemble_requests(&trace, &FieldTokenizer::new(), ServeConfig::default().max_tokens);
+        let n = requests.len();
+        // Every request asks every task and arrives twice in one burst; the
+        // queue holds the whole burst and no deadline refuses a flow.
+        let twice: Vec<ServeRequest> = requests
+            .into_iter()
+            .flat_map(|r| {
+                let r = ServeRequest { tasks: TaskSet::ALL, ..r };
+                [r.clone(), r]
+            })
+            .collect();
+        let config = ServeConfig {
+            queue_capacity: 2 * n,
+            shed_watermark: 2 * n,
+            deadline_budget: u64::MAX,
+            ..ServeConfig::default()
+        };
+        let mut server = MultiTaskServer::new(backbone, task_list(&heads, &priors), config);
+        let answers = server.serve_requests(twice, &[2 * n]);
+        let mt = server.stats();
+        assert_eq!(mt.encoder_rows, n, "one encoder row per distinct flow");
+        assert_eq!(mt.head_rows, k * n, "one head row per distinct flow and task");
+        assert_eq!(mt.lane_offers, 2 * k * n);
+        assert!(answers.iter().all(|lane| lane.len() == 2 * n), "every lane answers every copy");
     }
 
     #[test]
