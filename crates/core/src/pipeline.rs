@@ -16,9 +16,11 @@ use nfm_model::checkpoint::{
     read_cls_head, read_encoder, read_vocab, write_cls_head, write_encoder, write_vocab,
 };
 use nfm_model::context::{contexts_from_trace, flow_context, ContextStrategy};
-use nfm_model::guard::{GuardConfig, Telemetry, TrainError, TrainGuard, Trainee};
+use nfm_model::guard::{check_batch_size, GuardConfig, Telemetry, TrainError, TrainGuard, Trainee};
 use nfm_model::nn::heads::ClsHead;
-use nfm_model::nn::transformer::{Encoder, EncoderConfig, InferError, CLS_READOUT, FULL_READOUT};
+use nfm_model::nn::transformer::{
+    Encoder, EncoderConfig, InferError, Readout, CLS_READOUT, FULL_READOUT,
+};
 use nfm_model::pretrain::{encode_context, pretrain, PretrainConfig, PretrainStats};
 use nfm_model::tokenize::Tokenizer;
 use nfm_model::vocab::Vocab;
@@ -252,7 +254,7 @@ pub enum Pooling {
 impl Pooling {
     /// The encoder readout this pooling reads: the `[CLS]` row alone, or
     /// every row.
-    fn readout(self) -> usize {
+    fn readout(self) -> Readout<'static> {
         match self {
             Pooling::Cls => CLS_READOUT,
             Pooling::Mean => FULL_READOUT,
@@ -480,13 +482,16 @@ impl FmClassifier {
     /// pre-clip gradient norm are checked for NaN/Inf/explosion. A tripped
     /// guard rolls the epoch back to its starting weights, halves the
     /// learning rate, and reshuffles; after `guard.max_retries` failed
-    /// attempts the run aborts with [`TrainError::Diverged`].
+    /// attempts the run aborts with [`TrainError::Diverged`]. A zero
+    /// `batch_size` returns [`TrainError::InvalidConfig`] before any work
+    /// starts, as every fine-tuning entry point does.
     pub fn fine_tune(
         fm: &FoundationModel,
         examples: &[TextExample],
         n_classes: usize,
         config: &FineTuneConfig,
     ) -> Result<FmClassifier, PipelineError> {
+        check_batch_size(config.batch_size)?;
         if examples.is_empty() {
             return Err(PipelineError::NoExamples);
         }
@@ -507,6 +512,7 @@ impl FmClassifier {
         examples: &[TextExample],
         config: &FineTuneConfig,
     ) -> Result<FmClassifier, PipelineError> {
+        check_batch_size(config.batch_size)?;
         if examples.is_empty() {
             return Err(PipelineError::NoExamples);
         }
@@ -880,6 +886,7 @@ impl TaskHead {
         n_classes: usize,
         config: &FineTuneConfig,
     ) -> Result<TaskHead, PipelineError> {
+        check_batch_size(config.batch_size)?;
         if examples.is_empty() {
             return Err(PipelineError::NoExamples);
         }
@@ -899,6 +906,7 @@ impl TaskHead {
         examples: &[TextExample],
         config: &FineTuneConfig,
     ) -> Result<TaskHead, PipelineError> {
+        check_batch_size(config.batch_size)?;
         if examples.is_empty() {
             return Err(PipelineError::NoExamples);
         }
@@ -1362,6 +1370,47 @@ mod tests {
         check(FmClassifier::fine_tune(&fm, &train, 2, &cfg).map(drop));
         let backbone = FmBackbone::from_model(&fm, cfg.pooling);
         check(TaskHead::fine_tune(&backbone, "t", &train, 2, &cfg).map(drop));
+    }
+
+    /// A fine-tuning config with `batch_size: 0`, which would divide by
+    /// zero if training started.
+    fn zero_batch() -> FineTuneConfig {
+        FineTuneConfig { batch_size: 0, ..FineTuneConfig::default() }
+    }
+
+    fn check_zero_batch_rejected(result: Result<(), PipelineError>) {
+        match result {
+            Err(PipelineError::Train(TrainError::InvalidConfig {
+                field: "batch_size", ..
+            })) => {}
+            other => panic!("expected InvalidConfig for batch_size, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn classifier_fine_tune_rejects_zero_batch_size() {
+        let result = FmClassifier::fine_tune(&tiny().fm, &head_train(2), 2, &zero_batch());
+        check_zero_batch_rejected(result.map(drop));
+    }
+
+    #[test]
+    fn classifier_fine_tune_from_rejects_zero_batch_size() {
+        let result = FmClassifier::fine_tune_from(&tiny().clf, &head_train(2), &zero_batch());
+        check_zero_batch_rejected(result.map(drop));
+    }
+
+    #[test]
+    fn task_head_fine_tune_rejects_zero_batch_size() {
+        let backbone = tiny().clf.backbone();
+        let result = TaskHead::fine_tune(backbone, "t", &head_train(2), 2, &zero_batch());
+        check_zero_batch_rejected(result.map(drop));
+    }
+
+    #[test]
+    fn task_head_fine_tune_from_rejects_zero_batch_size() {
+        let clf = &tiny().clf;
+        let result = clf.head().fine_tune_from(clf.backbone(), &head_train(2), &zero_batch());
+        check_zero_batch_rejected(result.map(drop));
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! arithmetic — a reordered sum, a skipped row that was not really dead, a
 //! changed reduction tree — shows up as a different digest. The values were
 //! recorded before the encoder learned to run its last block only for the
-//! rows a caller reads, and must never move without a deliberate change to
-//! the training arithmetic.
+//! rows a caller reads (the unmaskable-corpus pair before MLM pre-training
+//! read only its masked rows), and must never move without a deliberate
+//! change to the training arithmetic.
 
 use nfm_core::pipeline::{FineTuneConfig, FmClassifier, FoundationModel, Pooling, TextExample};
 use nfm_model::nn::transformer::{Encoder, EncoderConfig};
@@ -72,6 +73,44 @@ fn pretrain_weights_match_golden_digest() {
     let (fm, accuracy) = pretrained();
     assert_eq!(weight_digest(&fm.encoder), PRETRAIN_DIGEST, "pretrained encoder bits moved");
     assert_eq!(accuracy.to_bits(), PRETRAIN_MLM_ACCURACY_BITS, "final MLM accuracy {accuracy}");
+}
+
+/// Encoder weights after MLM + next-flow pre-training on a corpus where
+/// every third context has only out-of-vocabulary tokens, so it has
+/// nothing to mask but still forms next-flow pairs.
+const UNMASKABLE_PRETRAIN_DIGEST: u32 = 0x6F54_B1F3;
+/// Bits of that run's final masked-token accuracy.
+const UNMASKABLE_MLM_ACCURACY_BITS: u32 = 0x3E59_364E;
+
+#[test]
+fn pretrain_with_unmaskable_contexts_matches_golden_digest() {
+    let mut contexts = corpus();
+    let vocab = Vocab::from_sequences(&contexts, 1);
+    for (i, ctx) in contexts.iter_mut().enumerate().filter(|(i, _)| i % 3 == 0) {
+        *ctx = (0..ctx.len()).map(|j| format!("oov{i}_{j}")).collect();
+    }
+    let cfg = EncoderConfig {
+        vocab: vocab.len(),
+        d_model: 12,
+        n_heads: 2,
+        n_layers: 2,
+        d_ff: 24,
+        max_len: MAX_LEN,
+    };
+    let config = PretrainConfig {
+        epochs: 2,
+        seed: 5,
+        tasks: TaskMix { mlm: true, next_flow: true, query_answer: false },
+        ..PretrainConfig::default()
+    };
+    let (encoder, _, stats) = pretrain(&contexts, &vocab, cfg, &config).expect("pretraining");
+    let accuracy = stats.final_mlm_accuracy;
+    assert_eq!(
+        weight_digest(&encoder),
+        UNMASKABLE_PRETRAIN_DIGEST,
+        "pretrained encoder bits moved"
+    );
+    assert_eq!(accuracy.to_bits(), UNMASKABLE_MLM_ACCURACY_BITS, "final MLM accuracy {accuracy}");
 }
 
 #[test]

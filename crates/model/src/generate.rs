@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::nn::heads::MlmHead;
-use crate::nn::transformer::{Encoder, FULL_READOUT};
+use crate::nn::transformer::{Encoder, Readout};
 use crate::vocab::Vocab;
 
 /// Generation configuration.
@@ -93,10 +93,11 @@ pub fn generate(
             if sweep > 0 {
                 ids[pos] = vocab.mask_id();
             }
-            let hidden = encoder.forward_inference(&ids, FULL_READOUT);
+            // Only the sampled position's row is read.
+            let hidden = encoder.forward_inference(&ids, Readout::Rows(&[pos]));
             let logits = head.forward_inference(&hidden);
             // Suppress special tokens.
-            let mut row: Vec<f32> = logits.row(pos).to_vec();
+            let mut row: Vec<f32> = logits.row(0).to_vec();
             for logit in row.iter_mut().take(5) {
                 *logit = f32::NEG_INFINITY;
             }

@@ -88,6 +88,16 @@ impl fmt::Display for GuardEvent {
 pub enum TrainError {
     /// The training corpus is empty.
     NoData,
+    /// A hyperparameter holds a value training cannot run with; returned
+    /// before any work starts.
+    InvalidConfig {
+        /// The config field, e.g. `batch_size`.
+        field: &'static str,
+        /// Its value, as `Debug` prints it.
+        value: String,
+        /// The values it must take.
+        expected: &'static str,
+    },
     /// Divergence persisted through every allowed retry.
     Diverged {
         /// Rollback attempts made on the failing stretch.
@@ -103,6 +113,9 @@ impl fmt::Display for TrainError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TrainError::NoData => write!(f, "no training data"),
+            TrainError::InvalidConfig { field, value, expected } => {
+                write!(f, "invalid training config: {field} = {value}, expected {expected}")
+            }
             TrainError::Diverged { attempts, log } => {
                 writeln!(f, "training diverged after {attempts} recovery attempts:")?;
                 for event in log {
@@ -128,6 +141,19 @@ impl From<CheckpointError> for TrainError {
     fn from(e: CheckpointError) -> Self {
         TrainError::Checkpoint(e)
     }
+}
+
+/// Check that a training loop can step with `batch_size` examples per
+/// step; zero would divide by zero when counting the steps.
+pub fn check_batch_size(batch_size: usize) -> Result<(), TrainError> {
+    if batch_size == 0 {
+        return Err(TrainError::InvalidConfig {
+            field: "batch_size",
+            value: "0".to_string(),
+            expected: "at least 1",
+        });
+    }
+    Ok(())
 }
 
 /// Deterministic per-epoch stream seed: mixes the base seed, the epoch, and

@@ -2,12 +2,13 @@
 //! pass. Sequences are processed unpadded one at a time (T×d matrices), so
 //! no attention mask is needed.
 //!
-//! Every pass takes a readout `n`: only the leading `n` positions of the
-//! input ask queries (Q, the scores, softmax, P·V and W_o run over `n`
-//! rows), while keys and values still cover all T positions. A caller that
-//! reads only the `[CLS]` row passes `n = 1`; `n = T` is plain self-
-//! attention. Each output row is computed exactly as the all-rows pass
-//! computes it, so a readout never changes a bit of the rows it keeps.
+//! Every pass takes a [`Readout`]: the positions of the input whose rows
+//! its caller reads. Only those rows ask queries (Q, the scores, softmax,
+//! P·V and W_o run over them), while keys and values still cover all T
+//! positions. A caller that reads only the `[CLS]` row reads position 0;
+//! [`Readout::All`] is plain self-attention. Each output row is computed
+//! exactly as the all-rows pass computes it, so a readout never changes a
+//! bit of the rows it keeps.
 
 use std::borrow::Cow;
 
@@ -56,23 +57,58 @@ fn head_insert(dst: &mut Matrix, src: &Matrix, head: usize, d_head: usize) {
     }
 }
 
-/// The leading `n` rows of `x`: borrowed when that is all of `x`, so the
-/// all-rows pass copies nothing.
-pub(crate) fn leading_rows(x: &Matrix, n: usize) -> Cow<'_, Matrix> {
-    if n >= x.rows() {
-        Cow::Borrowed(x)
-    } else {
-        Cow::Owned(x.rows_slice(0, n))
-    }
+/// The rows of a T-row sequence a pass computes and returns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Readout<'a> {
+    /// Every row, in position order; no row is copied.
+    All,
+    /// The rows at these positions, which must be strictly ascending and
+    /// below T: the pass returns position `rows[i]`'s row as its row `i`.
+    Rows(&'a [usize]),
 }
 
-/// `dst[r] += src[r]` over the leading `src.rows()` rows of `dst` (row-major
-/// storage makes them its first `src.data().len()` elements).
-pub(crate) fn add_leading_rows(dst: &mut Matrix, src: &Matrix) {
-    assert_eq!(dst.cols(), src.cols(), "add_leading_rows column mismatch");
-    assert!(src.rows() <= dst.rows(), "add_leading_rows: more rows than the destination");
-    for (d, &s) in dst.data_mut().iter_mut().zip(src.data()) {
-        *d += s;
+impl Readout<'_> {
+    /// The read rows of `x` in position order: borrowed when every row is
+    /// read, so the all-rows pass copies nothing.
+    pub(crate) fn gather(self, x: &Matrix) -> Cow<'_, Matrix> {
+        match self {
+            Readout::All => Cow::Borrowed(x),
+            Readout::Rows(rows) => {
+                assert!(
+                    rows.windows(2).all(|w| w[0] < w[1]),
+                    "readout rows must be strictly ascending"
+                );
+                assert!(rows.last().is_none_or(|&p| p < x.rows()), "readout row past the sequence");
+                let mut out = Matrix::zeros(rows.len(), x.cols());
+                for (i, &p) in rows.iter().enumerate() {
+                    out.row_mut(i).copy_from_slice(x.row(p));
+                }
+                Cow::Owned(out)
+            }
+        }
+    }
+
+    /// `dst[p] += src[i]` for the i-th read position `p` (`dst += src` when
+    /// every row is read): returns the read rows' gradient to the rows they
+    /// were gathered from.
+    pub(crate) fn scatter_add(self, dst: &mut Matrix, src: &Matrix) {
+        assert_eq!(dst.cols(), src.cols(), "scatter_add column mismatch");
+        match self {
+            Readout::All => {
+                assert_eq!(dst.rows(), src.rows(), "scatter_add row mismatch");
+                for (d, &s) in dst.data_mut().iter_mut().zip(src.data()) {
+                    *d += s;
+                }
+            }
+            Readout::Rows(rows) => {
+                assert_eq!(rows.len(), src.rows(), "scatter_add row mismatch");
+                for (i, &p) in rows.iter().enumerate() {
+                    for (d, &s) in dst.row_mut(p).iter_mut().zip(src.row(i)) {
+                        *d += s;
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -100,10 +136,10 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Forward pass over one sequence `x` (T×d) for its leading `n` rows
-    /// (clamped to T), caching for backward. Returns n×d.
-    pub fn forward(&mut self, x: &Matrix, n: usize) -> Matrix {
-        let q = self.wq.forward(&leading_rows(x, n));
+    /// Forward pass over one sequence `x` (T×d) for the rows `readout`
+    /// names, caching for backward. Returns one row per read row (n×d).
+    pub fn forward(&mut self, x: &Matrix, readout: Readout) -> Matrix {
+        let q = self.wq.forward(&readout.gather(x));
         let k = self.wk.forward(x);
         let v = self.wv.forward(x);
         let (concat, probs) = self.attend_heads(&q, &k, &v);
@@ -112,9 +148,9 @@ impl MultiHeadAttention {
         y
     }
 
-    /// Forward without caching: the leading `n` rows (clamped to T).
-    pub fn forward_inference(&self, x: &Matrix, n: usize) -> Matrix {
-        let q = self.wq.forward_inference(&leading_rows(x, n));
+    /// Forward without caching: the rows `readout` names.
+    pub fn forward_inference(&self, x: &Matrix, readout: Readout) -> Matrix {
+        let q = self.wq.forward_inference(&readout.gather(x));
         let k = self.wk.forward_inference(x);
         let v = self.wv.forward_inference(x);
         let (concat, _) = self.attend_heads(&q, &k, &v);
@@ -144,9 +180,9 @@ impl MultiHeadAttention {
         (concat, probs)
     }
 
-    /// Backward pass from dL/dy of the `n` read rows; returns dL/dx for
-    /// all T rows.
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
+    /// Backward pass from dL/dy of the rows the last forward read, under
+    /// that forward's `readout`; returns dL/dx for all T rows.
+    pub fn backward(&mut self, dy: &Matrix, readout: Readout) -> Matrix {
         let cache = self.cache.take().expect("forward before backward");
         let d_head = self.d_model / self.n_heads;
         let scale = 1.0 / (d_head as f32).sqrt();
@@ -187,11 +223,11 @@ impl MultiHeadAttention {
             head_insert(&mut dv, &dvh, h, d_head);
         }
         // Per read row this is (dx_q + dx_k) + dx_v, the all-rows sum's
-        // operand order (f32 addition commutes); rows past n take no query
+        // operand order (f32 addition commutes); unread rows take no query
         // gradient.
         let dx_q = self.wq.backward(&dq);
         let mut dx = self.wk.backward(&dk);
-        add_leading_rows(&mut dx, &dx_q);
+        readout.scatter_add(&mut dx, &dx_q);
         dx.add_assign(&self.wv.backward(&dv));
         dx
     }
@@ -231,7 +267,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut attn = MultiHeadAttention::new(&mut rng, 16, 4);
         let x = init::normal(&mut rng, 6, 16, 1.0);
-        let y = attn.forward(&x, x.rows());
+        let y = attn.forward(&x, Readout::All);
         assert_eq!((y.rows(), y.cols()), (6, 16));
         for p in attn.last_attention().unwrap() {
             for r in 0..p.rows() {
@@ -246,8 +282,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut attn = MultiHeadAttention::new(&mut rng, 8, 2);
         let x = init::normal(&mut rng, 4, 8, 1.0);
-        let y_train = attn.forward(&x, x.rows());
-        let y_inf = attn.forward_inference(&x, x.rows());
+        let y_train = attn.forward(&x, Readout::All);
+        let y_inf = attn.forward_inference(&x, Readout::All);
         for (a, b) in y_train.data().iter().zip(y_inf.data()) {
             assert!((a - b).abs() < 1e-5);
         }
@@ -262,19 +298,22 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let mut full = MultiHeadAttention::new(&mut rng, 12, 2);
         let mut read = full.clone();
-        let (t, n, d) = (5, 2, 12);
+        let (t, d) = (5, 12);
+        let rows = [1, 3];
+        let readout = Readout::Rows(&rows);
         let x = init::normal(&mut rng, t, d, 1.0);
-        let y_full = full.forward(&x, t);
-        let y_read = read.forward(&x, n);
-        assert_eq!(bits(y_read.data()), bits(&y_full.data()[..n * d]));
-        assert_eq!(bits(read.forward_inference(&x, n).data()), bits(y_read.data()));
-        assert!(read.last_attention().unwrap().iter().all(|p| (p.rows(), p.cols()) == (n, t)));
-        // The read rows' gradient, zero-padded for the all-rows pass.
-        let dy = init::normal(&mut rng, n, d, 1.0);
+        let y_full = full.forward(&x, Readout::All);
+        let y_read = read.forward(&x, readout);
+        assert_eq!(bits(y_read.data()), bits(readout.gather(&y_full).data()));
+        assert_eq!(bits(read.forward_inference(&x, readout).data()), bits(y_read.data()));
+        assert!(read.last_attention().unwrap().iter().all(|p| (p.rows(), p.cols()) == (2, t)));
+        // The read rows' gradient, scattered into zero rows for the
+        // all-rows pass.
+        let dy = init::normal(&mut rng, rows.len(), d, 1.0);
         let mut dy_full = Matrix::zeros(t, d);
-        dy_full.data_mut()[..n * d].copy_from_slice(dy.data());
-        let dx_full = full.backward(&dy_full);
-        let dx_read = read.backward(&dy);
+        readout.scatter_add(&mut dy_full, &dy);
+        let dx_full = full.backward(&dy_full, Readout::All);
+        let dx_read = read.backward(&dy, readout);
         assert_eq!(bits(dx_read.data()), bits(dx_full.data()));
         for (a, b) in read.export_grads().iter().zip(full.export_grads()) {
             assert_eq!(bits(a), bits(&b));
@@ -287,12 +326,12 @@ mod tests {
         let mut attn = MultiHeadAttention::new(&mut rng, 8, 2);
         let x = init::normal(&mut rng, 3, 8, 0.5);
         // L = ½‖y‖² so dL/dy = y.
-        let y = attn.forward(&x, x.rows());
-        let dx = attn.backward(&y);
+        let y = attn.forward(&x, Readout::All);
+        let dx = attn.backward(&y, Readout::All);
 
         let eps = 1e-2;
         let loss = |attn: &MultiHeadAttention, x: &Matrix| -> f32 {
-            let y = attn.forward_inference(x, x.rows());
+            let y = attn.forward_inference(x, Readout::All);
             0.5 * y.data().iter().map(|v| v * v).sum::<f32>()
         };
         let mut max_rel = 0.0f32;
@@ -315,8 +354,8 @@ mod tests {
         let mut attn = MultiHeadAttention::new(&mut rng, 8, 2);
         let x = init::normal(&mut rng, 3, 8, 0.5);
         attn.zero_grad();
-        let y = attn.forward(&x, x.rows());
-        attn.backward(&y);
+        let y = attn.forward(&x, Readout::All);
+        attn.backward(&y, Readout::All);
         // Grab dL/d(wq[0,0]).
         let mut analytic = 0.0;
         let mut slot = 0;
@@ -328,7 +367,7 @@ mod tests {
         });
         let eps = 1e-2;
         let loss = |attn: &MultiHeadAttention, x: &Matrix| -> f32 {
-            let y = attn.forward_inference(x, x.rows());
+            let y = attn.forward_inference(x, Readout::All);
             0.5 * y.data().iter().map(|v| v * v).sum::<f32>()
         };
         let mut orig = 0.0;

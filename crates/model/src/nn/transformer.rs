@@ -2,16 +2,17 @@
 //! post-LN encoder blocks (attention and feed-forward sublayers with
 //! residuals), processed one unpadded sequence at a time.
 //!
-//! Every forward takes a *readout*: how many leading rows of the hidden
-//! states its caller reads ([`CLS_READOUT`] for `[CLS]`-only objectives,
-//! [`FULL_READOUT`] for per-token ones). Attention mixes every position
-//! into every row, so all blocks but the last must run for all T rows; the
-//! last block runs its queries, attention output, LayerNorms, and FFN only
-//! for the read rows (keys and values still span all T positions), and the
-//! backward mirrors it. The kept rows are bitwise what the all-rows forward
-//! computes, and a backward from their gradient leaves every parameter
-//! gradient bitwise equal to the all-rows backward of that gradient padded
-//! with zero rows. The MAC cost model below still prices the full forward.
+//! Every forward takes a [`Readout`]: the positions of the hidden states
+//! its caller reads ([`CLS_READOUT`] for `[CLS]`-only objectives, the
+//! masked positions for MLM, [`FULL_READOUT`] for per-token ones).
+//! Attention mixes every position into every row, so all blocks but the
+//! last must run for all T rows; the last block gathers the read rows for
+//! its queries, residual, LayerNorms, and FFN (keys and values still span
+//! all T positions), and the backward scatter-adds their gradients back.
+//! The kept rows are bitwise what the all-rows forward computes, and a
+//! backward from their gradient leaves every parameter gradient bitwise
+//! equal to the all-rows backward of that gradient scattered into zero
+//! rows. The MAC cost model below still prices the full forward.
 //!
 //! For serving under deadlines, [`Encoder::plan_inference_cost`] walks a
 //! forward's charge schedule before any compute runs: inference cost is
@@ -26,12 +27,13 @@ use nfm_tensor::layers::{Embedding, Gelu, LayerNorm, Linear, Module};
 use nfm_tensor::matrix::Matrix;
 use rand::Rng;
 
-use super::attention::{add_leading_rows, leading_rows, MultiHeadAttention};
+use super::attention::MultiHeadAttention;
+pub use super::attention::Readout;
 
 /// Readout for callers that read only the `[CLS]` (first) row.
-pub const CLS_READOUT: usize = 1;
+pub const CLS_READOUT: Readout<'static> = Readout::Rows(&[0]);
 /// Readout for callers that read every row.
-pub const FULL_READOUT: usize = usize::MAX;
+pub const FULL_READOUT: Readout<'static> = Readout::All;
 
 /// Why a budgeted inference call could not produce hidden states.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,14 +92,13 @@ impl EncoderConfig {
     }
 }
 
-/// Rows block `i` of `n_blocks` runs for on a `t`-row sequence under
-/// `readout`: every row, except the last block's, which runs for the read
-/// rows only.
-fn block_rows(i: usize, n_blocks: usize, t: usize, readout: usize) -> usize {
+/// The readout block `i` of `n_blocks` runs under: every row, except the
+/// last block's, which runs for the caller's read rows only.
+fn block_readout(i: usize, n_blocks: usize, readout: Readout<'_>) -> Readout<'_> {
     if i + 1 == n_blocks {
-        readout.min(t)
+        readout
     } else {
-        t
+        Readout::All
     }
 }
 
@@ -110,6 +111,8 @@ pub struct EncoderBlock {
     gelu: Gelu,
     ff2: Linear,
     ln2: LayerNorm,
+    /// The positions the last training forward read (`None`: every row).
+    read: Option<Vec<usize>>,
 }
 
 impl EncoderBlock {
@@ -121,13 +124,18 @@ impl EncoderBlock {
             gelu: Gelu::new(),
             ff2: Linear::new(rng, cfg.d_ff, cfg.d_model),
             ln2: LayerNorm::new(cfg.d_model),
+            read: None,
         }
     }
 
-    /// Training forward of the leading `n` rows of `x` (clamped to T).
-    fn forward(&mut self, x: &Matrix, n: usize) -> Matrix {
-        let a = self.attn.forward(x, n);
-        let mut r1 = leading_rows(x, n).into_owned();
+    /// Training forward of the rows of `x` that `readout` names.
+    fn forward(&mut self, x: &Matrix, readout: Readout) -> Matrix {
+        self.read = match readout {
+            Readout::All => None,
+            Readout::Rows(rows) => Some(rows.to_vec()),
+        };
+        let a = self.attn.forward(x, readout);
+        let mut r1 = readout.gather(x).into_owned();
         r1.add_assign(&a);
         let h1 = self.ln1.forward(&r1);
         let f = self.ff2.forward(&self.gelu.forward(&self.ff1.forward(&h1)));
@@ -136,9 +144,9 @@ impl EncoderBlock {
         self.ln2.forward(&r2)
     }
 
-    fn forward_inference(&self, x: &Matrix, n: usize) -> Matrix {
-        let a = self.attn.forward_inference(x, n);
-        let mut r1 = leading_rows(x, n).into_owned();
+    fn forward_inference(&self, x: &Matrix, readout: Readout) -> Matrix {
+        let a = self.attn.forward_inference(x, readout);
+        let mut r1 = readout.gather(x).into_owned();
         r1.add_assign(&a);
         let h1 = self.ln1.forward_inference(&r1);
         let f = self
@@ -159,9 +167,10 @@ impl EncoderBlock {
         let mut dh1 = dr2;
         dh1.add_assign(&dff);
         let dr1 = self.ln1.backward(&dh1);
-        // r1 = x[..n] + attn(x): the residual reaches only the kept rows.
-        let mut dx = self.attn.backward(&dr1);
-        add_leading_rows(&mut dx, &dr1);
+        // r1 = x[read] + attn(x): the residual reaches only the read rows.
+        let readout = self.read.as_deref().map_or(Readout::All, Readout::Rows);
+        let mut dx = self.attn.backward(&dr1, readout);
+        readout.scatter_add(&mut dx, &dr1);
         dx
     }
 
@@ -225,9 +234,10 @@ impl Encoder {
     }
 
     /// Forward one sequence of token ids (training mode; caches for
-    /// backward). Returns the hidden states of the first `readout` rows
-    /// (clamped to T): `min(readout, T)×d`.
-    pub fn forward(&mut self, ids: &[usize], readout: usize) -> Matrix {
+    /// backward). Returns the hidden states of the rows `readout` names, in
+    /// position order; positions count in the sequence after clamping to
+    /// `max_len`.
+    pub fn forward(&mut self, ids: &[usize], readout: Readout) -> Matrix {
         let ids = self.clamp_ids(ids);
         assert!(!ids.is_empty(), "empty sequence");
         let t = ids.len();
@@ -237,14 +247,14 @@ impl Encoder {
         let mut h = self.emb_ln.forward(&x);
         let n_blocks = self.blocks.len();
         for (i, block) in self.blocks.iter_mut().enumerate() {
-            h = block.forward(&h, block_rows(i, n_blocks, t, readout));
+            h = block.forward(&h, block_readout(i, n_blocks, readout));
         }
         h
     }
 
-    /// Forward without caching (inference): the hidden states of the first
-    /// `readout` rows (clamped to T).
-    pub fn forward_inference(&self, ids: &[usize], readout: usize) -> Matrix {
+    /// Forward without caching (inference): the hidden states of the rows
+    /// `readout` names.
+    pub fn forward_inference(&self, ids: &[usize], readout: Readout) -> Matrix {
         let ids = self.clamp_ids(ids);
         assert!(!ids.is_empty(), "empty sequence");
         let t = ids.len();
@@ -253,7 +263,7 @@ impl Encoder {
         x.add_assign(&self.pos_emb.lookup(&positions));
         let mut h = self.emb_ln.forward_inference(&x);
         for (i, block) in self.blocks.iter().enumerate() {
-            h = block.forward_inference(&h, block_rows(i, self.blocks.len(), t, readout));
+            h = block.forward_inference(&h, block_readout(i, self.blocks.len(), readout));
         }
         h
     }
@@ -517,18 +527,33 @@ mod tests {
         let (mut enc, _) = small();
         let ids = [2usize, 9, 10, 11, 3];
         let full = enc.forward_inference(&ids, FULL_READOUT);
-        for n in [1, 3, 5, 9] {
-            let kept = n.min(ids.len());
-            let h = enc.forward(&ids, n);
-            assert_eq!((h.rows(), h.cols()), (kept, 16));
-            let leading = &full.data()[..kept * 16];
-            assert!(h.data().iter().zip(leading).all(|(a, b)| a.to_bits() == b.to_bits()));
+        let cases: [(Readout, &[usize]); 4] = [
+            (CLS_READOUT, &[0]),
+            (Readout::Rows(&[0, 1, 2]), &[0, 1, 2]),
+            (FULL_READOUT, &[0, 1, 2, 3, 4]),
+            (Readout::Rows(&[1, 3, 4]), &[1, 3, 4]),
+        ];
+        for (readout, rows) in cases {
+            let h = enc.forward(&ids, readout);
+            assert_eq!((h.rows(), h.cols()), (rows.len(), 16));
+            for (i, &p) in rows.iter().enumerate() {
+                let same =
+                    h.row(i).iter().zip(full.row(p)).all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "{readout:?}: row {p}");
+            }
             let maps = enc.last_attention();
             let shapes: Vec<(usize, usize)> =
                 maps.iter().map(|heads| (heads[0].rows(), heads[0].cols())).collect();
-            assert_eq!(shapes, vec![(5, 5), (kept, 5)], "readout {n}");
+            assert_eq!(shapes, vec![(5, 5), (rows.len(), 5)], "{readout:?}");
         }
         assert_eq!(enc.cls_embedding(&ids), full.row(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn readout_rows_out_of_order_are_rejected() {
+        let (enc, _) = small();
+        let _ = enc.forward_inference(&[2, 9, 10, 3], Readout::Rows(&[2, 1]));
     }
 
     #[test]

@@ -16,10 +16,11 @@ use rand::{Rng, SeedableRng};
 
 use crate::checkpoint::{load_train_state, save_train_state, TrainState};
 use crate::guard::{
-    epoch_seed, GuardConfig, GuardEvent, Telemetry, TrainError, TrainGuard, Trainee,
+    check_batch_size, epoch_seed, GuardConfig, GuardEvent, Telemetry, TrainError, TrainGuard,
+    Trainee,
 };
 use crate::nn::heads::{ClsHead, MlmHead};
-use crate::nn::transformer::{Encoder, EncoderConfig, CLS_READOUT, FULL_READOUT};
+use crate::nn::transformer::{Encoder, EncoderConfig, Readout, CLS_READOUT};
 use crate::vocab::Vocab;
 
 /// Which pre-training objectives are active (experiment E6 sweeps this).
@@ -111,6 +112,22 @@ impl Default for PretrainConfig {
             resume_from: None,
             inject_nan_at: Vec::new(),
         }
+    }
+}
+
+impl PretrainConfig {
+    /// Reject values training cannot run with: a zero `batch_size`, or a
+    /// `mask_prob` outside [0, 1] (NaN included).
+    fn validate(&self) -> Result<(), TrainError> {
+        check_batch_size(self.batch_size)?;
+        if !(0.0..=1.0).contains(&self.mask_prob) {
+            return Err(TrainError::InvalidConfig {
+                field: "mask_prob",
+                value: format!("{:?}", self.mask_prob),
+                expected: "a probability in [0, 1]",
+            });
+        }
+        Ok(())
     }
 }
 
@@ -234,6 +251,12 @@ struct BatchItem {
     nfp: Option<(Vec<usize>, usize)>,
 }
 
+/// The masked positions of `targets`, ascending, and their targets: the
+/// only rows an MLM loss reads.
+fn masked_rows(targets: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    targets.iter().enumerate().filter(|&(_, &t)| t != IGNORE_INDEX).map(|(p, &t)| (p, t)).unzip()
+}
+
 /// Loss bookkeeping accumulated by one gradient shard, and folded per
 /// batch and per epoch.
 #[derive(Debug, Clone, Default)]
@@ -281,16 +304,21 @@ fn run_pretrain_shard(
     let mut sums = ShardSums::default();
     for item in items {
         if let Some((input, targets)) = &item.mlm {
-            let hidden = enc.forward(input, FULL_READOUT);
-            let logits = mlm.forward(&hidden);
-            let (loss, dlogits) = softmax_cross_entropy(&logits, targets);
-            if loss > 0.0 {
-                sums.mlm_loss += loss as f64;
-                sums.n_mlm += 1;
-                sums.batch_loss += loss as f64;
-                sums.batch_items += 1;
-                let dhidden = mlm.backward(&dlogits);
-                enc.backward(&dhidden);
+            // The loss reads only the masked rows, so the last block and the
+            // head run for those alone; a sequence with none has no MLM loss.
+            let (rows, targets) = masked_rows(targets);
+            if !rows.is_empty() {
+                let hidden = enc.forward(input, Readout::Rows(&rows));
+                let logits = mlm.forward(&hidden);
+                let (loss, dlogits) = softmax_cross_entropy(&logits, &targets);
+                if loss > 0.0 {
+                    sums.mlm_loss += loss as f64;
+                    sums.n_mlm += 1;
+                    sums.batch_loss += loss as f64;
+                    sums.batch_items += 1;
+                    let dhidden = mlm.backward(&dlogits);
+                    enc.backward(&dhidden);
+                }
             }
         }
         if let Some((pair, label)) = &item.nfp {
@@ -439,13 +467,16 @@ impl Trainee for PretrainState<'_> {
 /// [`PretrainConfig::snapshot_dir`] set, full training state is written to
 /// disk at epoch boundaries; a later run with
 /// [`PretrainConfig::resume_from`] continues from that point and finishes
-/// with weights bitwise identical to the uninterrupted run.
+/// with weights bitwise identical to the uninterrupted run. A config
+/// training cannot run with returns [`TrainError::InvalidConfig`] before
+/// any work starts.
 pub fn pretrain(
     contexts: &[Vec<String>],
     vocab: &Vocab,
     encoder_config: EncoderConfig,
     config: &PretrainConfig,
 ) -> Result<(Encoder, MlmHead, PretrainStats), TrainError> {
+    config.validate()?;
     if contexts.is_empty() {
         return Err(TrainError::NoData);
     }
@@ -583,10 +614,13 @@ pub fn pretrain(
         masked.iter().map(|(input, _)| st.encoder.inference_cost(input.len()) as usize).sum();
     let counts = pool::par_map_work(masked.len(), eval_work, |i| {
         let (input, targets) = &masked[i];
-        let hidden = st.encoder.forward_inference(input, FULL_READOUT);
+        let (rows, targets) = masked_rows(targets);
+        if rows.is_empty() {
+            return (0, 0);
+        }
+        let hidden = st.encoder.forward_inference(input, Readout::Rows(&rows));
         let preds = st.mlm_head.forward_inference(&hidden).argmax_rows();
-        let scored = targets.iter().zip(preds).filter(|&(&t, _)| t != IGNORE_INDEX);
-        scored.fold((0usize, 0usize), |(hit, n), (&t, p)| (hit + usize::from(p == t), n + 1))
+        (targets.iter().zip(preds).filter(|&(&t, p)| p == t).count(), targets.len())
     });
     let (correct, total_masked) =
         counts.into_iter().fold((0, 0), |(hit, n), (h, m)| (hit + h, n + m));
@@ -813,6 +847,24 @@ mod tests {
         let (vocab, _) = toy_vocab_and_contexts();
         let result = pretrain(&[], &vocab, tiny_cfg(&vocab), &PretrainConfig::default());
         assert!(matches!(result, Err(TrainError::NoData)));
+    }
+
+    #[test]
+    fn invalid_config_is_a_typed_error_not_a_panic() {
+        let (vocab, contexts) = toy_vocab_and_contexts();
+        let cases = [
+            ("batch_size", PretrainConfig { batch_size: 0, ..PretrainConfig::default() }),
+            ("mask_prob", PretrainConfig { mask_prob: 1.5, ..PretrainConfig::default() }),
+            ("mask_prob", PretrainConfig { mask_prob: -0.1, ..PretrainConfig::default() }),
+            ("mask_prob", PretrainConfig { mask_prob: f64::NAN, ..PretrainConfig::default() }),
+        ];
+        for (want, config) in cases {
+            let result = pretrain(&contexts[..8], &vocab, tiny_cfg(&vocab), &config);
+            match result {
+                Err(TrainError::InvalidConfig { field, .. }) => assert_eq!(field, want),
+                other => panic!("{want}: expected InvalidConfig, got {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Property-based invariants for the modeling layer: tokenizers never
 //! panic and respect budgets, vocabularies round-trip, masking preserves
 //! recoverability, encoders stay finite on arbitrary valid inputs, and a
-//! `[CLS]` readout is bitwise the all-rows forward and backward.
+//! `[CLS]` or any other row readout is bitwise the all-rows forward and
+//! backward.
 
 use nfm_model::context::{first_m_of_n_context, flow_context};
-use nfm_model::nn::transformer::{Encoder, EncoderConfig, CLS_READOUT, FULL_READOUT};
+use nfm_model::nn::transformer::{Encoder, EncoderConfig, Readout, CLS_READOUT, FULL_READOUT};
 use nfm_model::pretrain::{encode_context, mask_sequence};
 use nfm_model::tokenize::bytes::ByteTokenizer;
 use nfm_model::tokenize::field::FieldTokenizer;
@@ -173,6 +174,59 @@ proptest! {
         prop_assert_eq!(full_grads.len(), cls_grads.len());
         for (slot, (a, b)) in full_grads.iter().zip(&cls_grads).enumerate() {
             prop_assert!(bits(a) == bits(b), "gradient slot {} differs", slot);
+        }
+    }
+
+    #[test]
+    fn row_readout_is_bitwise_the_all_rows_forward_and_backward(
+        n_layers in 1usize..=3,
+        n_heads in 1usize..=3,
+        d_head in 1usize..=9,
+        d_ff in 1usize..=20,
+        max_len in 1usize..=12,
+        ids in proptest::collection::vec(0usize..20, 1..17),
+        subset in 0usize..4,
+        keep in proptest::collection::vec(any::<bool>(), 12),
+        seed in 0u64..1000,
+    ) {
+        let ids = &ids[..ids.len().min(max_len + 4)];
+        let t = ids.len().min(max_len);
+        // Empty, every row, or a random (mostly non-leading) subset.
+        let rows: Vec<usize> = match subset {
+            0 => Vec::new(),
+            1 => (0..t).collect(),
+            _ => (0..t).filter(|&p| keep[p]).collect(),
+        };
+        let readout = Readout::Rows(&rows);
+        let d_model = n_heads * d_head;
+        let cfg = EncoderConfig { vocab: 20, d_model, n_heads, n_layers, d_ff, max_len };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut full = Encoder::new(&mut rng, cfg);
+        let mut read = full.clone();
+        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let read_rows = |m: &Matrix| rows.iter().flat_map(|&p| bits(m.row(p))).collect::<Vec<u32>>();
+
+        let all = full.forward_inference(ids, FULL_READOUT);
+        prop_assert_eq!(bits(read.forward_inference(ids, readout).data()), read_rows(&all));
+
+        // Training: the readout's backward of a random gradient for its
+        // rows against the all-rows backward of that gradient scattered
+        // into zero rows.
+        let h = full.forward(ids, FULL_READOUT);
+        let h_read = read.forward(ids, readout);
+        prop_assert_eq!(bits(h_read.data()), read_rows(&h));
+        prop_assert_eq!(bits(h.data()), bits(all.data()));
+        let g = init::normal(&mut rng, rows.len(), d_model, 1.0);
+        let mut g_full = Matrix::zeros(t, d_model);
+        for (i, &p) in rows.iter().enumerate() {
+            g_full.row_mut(p).copy_from_slice(g.row(i));
+        }
+        full.backward(&g_full);
+        read.backward(&g);
+        let (full_grads, read_grads) = (full.export_grads(), read.export_grads());
+        prop_assert_eq!(full_grads.len(), read_grads.len());
+        for (slot, (a, b)) in full_grads.iter().zip(&read_grads).enumerate() {
+            prop_assert!(bits(a) == bits(b), "gradient slot {} differs for rows {:?}", slot, rows);
         }
     }
 
