@@ -200,17 +200,17 @@ impl MultiHeadAttention {
             // dP = dOh · Vhᵀ ; dVh = Pᵀ · dOh
             let dp = doh.matmul_nt(&vh);
             let dvh = p.matmul_tn(&doh);
-            // Softmax backward per row: dS = P ⊙ (dP − rowsum(dP⊙P)).
+            // Softmax backward per row, then the score scale:
+            // dS = (P ⊙ (dP − rowsum(dP⊙P))) · scale.
             let mut ds = Matrix::zeros(n, t);
             for r in 0..n {
                 let prow = p.row(r);
                 let dprow = dp.row(r);
                 let dot: f32 = prow.iter().zip(dprow).map(|(a, b)| a * b).sum();
-                for c in 0..t {
-                    ds.set(r, c, prow[c] * (dprow[c] - dot));
+                for ((s, &pv), &dpv) in ds.row_mut(r).iter_mut().zip(prow).zip(dprow) {
+                    *s = (pv * (dpv - dot)) * scale;
                 }
             }
-            ds.scale(scale);
             // dQh = dS · Kh ; dKh = dSᵀ · Qh
             (ds.matmul(&kh), ds.matmul_tn(&qh), dvh)
         });

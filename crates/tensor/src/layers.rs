@@ -210,10 +210,11 @@ impl LayerNorm {
         for r in 0..x.rows() {
             let row = x.row(r);
             let (mean, inv_std) = self.row_stats(row);
-            for (c, &v) in row.iter().enumerate() {
-                let h = (v - mean) * inv_std;
-                xhat.set(r, c, h);
-                out.set(r, c, h * self.gamma[c] + self.beta[c]);
+            let params = self.gamma.iter().zip(&self.beta);
+            let outs = xhat.row_mut(r).iter_mut().zip(out.row_mut(r));
+            for (((h, o), &v), (g, b)) in outs.zip(row).zip(params) {
+                *h = (v - mean) * inv_std;
+                *o = *h * g + b;
             }
             inv_stds.push(inv_std);
         }
@@ -252,23 +253,26 @@ impl LayerNorm {
         let (xhat, inv_stds) = self.cache.as_ref().expect("forward before backward");
         assert_eq!(dy.rows(), inv_stds.len(), "LayerNorm backward row count");
         let d = dy.cols();
+        let n = d as f32;
         let mut dx = Matrix::zeros(dy.rows(), d);
+        let mut dxhat = vec![0.0f32; d];
         for (r, &inv_std) in inv_stds.iter().enumerate() {
             let dyr = dy.row(r);
             let xh = xhat.row(r);
             // Accumulate parameter grads.
-            for c in 0..d {
-                self.g_gamma[c] += dyr[c] * xh[c];
-                self.g_beta[c] += dyr[c];
+            let grads = self.g_gamma.iter_mut().zip(&mut self.g_beta);
+            for ((gg, gb), (&dv, &h)) in grads.zip(dyr.iter().zip(xh)) {
+                *gg += dv * h;
+                *gb += dv;
             }
             // dxhat = dy * gamma
-            let dxhat: Vec<f32> = (0..d).map(|c| dyr[c] * self.gamma[c]).collect();
+            for ((dh, &dv), &g) in dxhat.iter_mut().zip(dyr).zip(&self.gamma) {
+                *dh = dv * g;
+            }
             let sum_dxhat: f32 = dxhat.iter().sum();
             let sum_dxhat_xhat: f32 = dxhat.iter().zip(xh).map(|(a, b)| a * b).sum();
-            for c in 0..d {
-                let v =
-                    (d as f32 * dxhat[c] - sum_dxhat - xh[c] * sum_dxhat_xhat) * inv_std / d as f32;
-                dx.set(r, c, v);
+            for ((o, &dh), &h) in dx.row_mut(r).iter_mut().zip(&dxhat).zip(xh) {
+                *o = (n * dh - sum_dxhat - h * sum_dxhat_xhat) * inv_std / n;
             }
         }
         dx
@@ -294,6 +298,7 @@ fn gelu_scalar(x: f32) -> f32 {
     0.5 * x * (1.0 + crate::fastmath::tanhf(C * (x + 0.044715 * x * x * x)))
 }
 
+#[inline(always)]
 fn gelu_grad_scalar(x: f32) -> f32 {
     const C: f32 = 0.797_884_6;
     let x3 = x * x * x;
@@ -319,10 +324,10 @@ impl Gelu {
         x.map(gelu_scalar)
     }
 
-    /// Backward pass.
+    /// Backward pass: `gelu'(x) * dy` per element, in one pass.
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
         let x = self.cache_x.as_ref().expect("forward before backward");
-        x.map(gelu_grad_scalar).hadamard(dy)
+        x.zip_map(dy, |x, d| gelu_grad_scalar(x) * d)
     }
 }
 
@@ -467,6 +472,172 @@ mod tests {
             let numeric =
                 (gelu_scalar(x.get(0, c) + eps) - gelu_scalar(x.get(0, c) - eps)) / (2.0 * eps);
             assert!((numeric - dx.get(0, c)).abs() < 1e-2, "col {c}");
+        }
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The tanh argument `gelu_grad_scalar` computes for `x`.
+    fn gelu_tanh_arg(x: f32) -> f32 {
+        0.797_884_6 * (x + 0.044715 * (x * x * x))
+    }
+
+    /// GELU inputs around every branch threshold of `fastmath::tanhf` in
+    /// its argument `u`: the tiny path (2^-55), the `k = 0` and `k = ±1`
+    /// reductions, the `|u| < 1` switch, every step of the reduction index
+    /// `k` (which picks the reconstruction at 23 and 57), and saturation
+    /// at 22. For each, the smallest positive `x` whose argument reaches
+    /// it, its 16 neighbours on either side, and their negations.
+    fn tanh_threshold_inputs() -> Vec<f32> {
+        let ln2 = std::f32::consts::LN_2;
+        let mut thresholds = vec![
+            f32::from_bits(0x2400_0000),
+            f32::from_bits(0x3e31_7218),
+            f32::from_bits(0x3f05_1592),
+            1.0,
+            22.0,
+        ];
+        thresholds.extend((2..=63).map(|k| (k as f32 + 0.5) * ln2 / 2.0));
+        let mut xs = Vec::new();
+        for tau in thresholds {
+            // The argument is monotone in x, and positive floats order
+            // like their bits, so bisect on the bits.
+            let (mut lo, mut hi) = (0u32, 0x4200_0000u32);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if gelu_tanh_arg(f32::from_bits(mid)) >= tau {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            for b in lo.saturating_sub(16)..=lo + 16 {
+                xs.push(f32::from_bits(b));
+                xs.push(-f32::from_bits(b));
+            }
+        }
+        xs
+    }
+
+    #[test]
+    fn gelu_backward_is_bitwise_the_two_pass_product() {
+        let mut xs = tanh_threshold_inputs();
+        xs.extend([0.0, -0.0, f32::MIN_POSITIVE, f32::INFINITY, f32::NEG_INFINITY, f32::NAN]);
+        let mut x = -12.0f32;
+        while x < 12.0 {
+            xs.push(x);
+            x += 0.001;
+        }
+        let mut state = 0x9e37_79b9_u32;
+        for _ in 0..20_000 {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            xs.push(f32::from_bits(state));
+        }
+        // An odd width, so vectorised loops also run their scalar tails.
+        let cols = 37;
+        xs.resize(xs.len().div_ceil(cols) * cols, 0.5);
+        let x = Matrix::from_vec(xs.len() / cols, cols, xs);
+        let dy = init::normal(&mut StdRng::seed_from_u64(8), x.rows(), cols, 1.0);
+        let mut g = Gelu::new();
+        let _ = g.forward(&x);
+        let got = g.backward(&dy);
+        let want = x.map(gelu_grad_scalar).zip_map(&dy, |g, d| g * d);
+        for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+            let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+            assert!(same, "x {:e}: one pass {g:e}, two passes {w:e}", x.data()[i]);
+        }
+    }
+
+    /// `LayerNorm` written element by element: the forward output, the
+    /// normalised rows and inverse deviations it caches, then the backward
+    /// pass's `dx` with the parameter gradients accumulated into `g_gamma`
+    /// and `g_beta`.
+    struct PerElementLayerNorm {
+        gamma: Vec<f32>,
+        beta: Vec<f32>,
+        eps: f32,
+        g_gamma: Vec<f32>,
+        g_beta: Vec<f32>,
+    }
+
+    // Index loops are the point of this reference.
+    #[allow(clippy::needless_range_loop)]
+    impl PerElementLayerNorm {
+        fn forward(&self, x: &Matrix) -> (Matrix, Matrix, Vec<f32>) {
+            let d = x.cols();
+            let mut out = Matrix::zeros(x.rows(), d);
+            let mut xhat = Matrix::zeros(x.rows(), d);
+            let mut inv_stds = Vec::new();
+            for r in 0..x.rows() {
+                let row = x.row(r);
+                let mean = row.iter().sum::<f32>() / d as f32;
+                let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
+                let inv_std = 1.0 / (var + self.eps).sqrt();
+                for c in 0..d {
+                    let h = (row[c] - mean) * inv_std;
+                    xhat.set(r, c, h);
+                    out.set(r, c, h * self.gamma[c] + self.beta[c]);
+                }
+                inv_stds.push(inv_std);
+            }
+            (out, xhat, inv_stds)
+        }
+
+        fn backward(&mut self, xhat: &Matrix, inv_stds: &[f32], dy: &Matrix) -> Matrix {
+            let d = dy.cols();
+            let mut dx = Matrix::zeros(dy.rows(), d);
+            for (r, &inv_std) in inv_stds.iter().enumerate() {
+                for c in 0..d {
+                    self.g_gamma[c] += dy.get(r, c) * xhat.get(r, c);
+                    self.g_beta[c] += dy.get(r, c);
+                }
+                let dxhat: Vec<f32> = (0..d).map(|c| dy.get(r, c) * self.gamma[c]).collect();
+                let sum_dxhat: f32 = dxhat.iter().sum();
+                let sum_dxhat_xhat: f32 = dxhat.iter().zip(xhat.row(r)).map(|(a, b)| a * b).sum();
+                for c in 0..d {
+                    let v = (d as f32 * dxhat[c] - sum_dxhat - xhat.get(r, c) * sum_dxhat_xhat)
+                        * inv_std
+                        / d as f32;
+                    dx.set(r, c, v);
+                }
+            }
+            dx
+        }
+    }
+
+    #[test]
+    fn layernorm_is_bitwise_the_per_element_formulation() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for (rows, d) in [(1, 1), (3, 5), (4, 8), (6, 32), (7, 33)] {
+            let mut ln = LayerNorm::new(d);
+            ln.gamma = init::normal(&mut rng, 1, d, 1.0).into_data();
+            ln.beta = init::normal(&mut rng, 1, d, 1.0).into_data();
+            let mut reference = PerElementLayerNorm {
+                gamma: ln.gamma.clone(),
+                beta: ln.beta.clone(),
+                eps: ln.eps,
+                g_gamma: vec![0.0; d],
+                g_beta: vec![0.0; d],
+            };
+            // Two steps, so the parameter gradients accumulate onto
+            // nonzero values; the second batch holds a constant row.
+            for step in 0..2 {
+                let mut x = init::normal(&mut rng, rows, d, 3.0);
+                if step == 1 {
+                    x.row_mut(0).fill(0.25);
+                }
+                let dy = init::normal(&mut rng, rows, d, 1.0);
+                let (want_y, xhat, inv_stds) = reference.forward(&x);
+                assert_eq!(bits(ln.forward(&x).data()), bits(want_y.data()), "y {rows}x{d}");
+                assert_eq!(bits(ln.forward_inference(&x).data()), bits(want_y.data()));
+                let want_dx = reference.backward(&xhat, &inv_stds, &dy);
+                assert_eq!(bits(ln.backward(&dy).data()), bits(want_dx.data()), "dx {rows}x{d}");
+                let grads = ln.export_grads();
+                assert_eq!(bits(&grads[0]), bits(&reference.g_gamma), "g_gamma {rows}x{d}");
+                assert_eq!(bits(&grads[1]), bits(&reference.g_beta), "g_beta {rows}x{d}");
+            }
         }
     }
 

@@ -122,9 +122,13 @@ fn matmul_rows(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, k: usize, n: 
 }
 
 /// `out[row0+r][j] += sum_p a[p][row0+r] * b[p][j]` (aᵀ·b) for the chunk's
-/// rows; `a` is `k × m` and read down columns, `b` streams row-wise. Rows
-/// are register-blocked four at a time exactly like [`matmul_rows`] — same
-/// per-element accumulation order, same bitwise guarantee.
+/// rows; `a` is `k × m` and read down columns, `b` streams row-wise.
+///
+/// The same 4×8 register tile as [`matmul_rows`], with the transposed read:
+/// the four rows' operands for one `p` are four adjacent values of `a`'s
+/// row `p`. Each element still starts from its current value and
+/// accumulates over `p` ascending, so the output is bitwise identical to
+/// the scalar form at any row count, shape, or chunk boundary.
 fn matmul_tn_rows(
     a: &[f32],
     b: &[f32],
@@ -145,22 +149,46 @@ fn matmul_tn_rows(
             let mut r = 0;
             while r + 4 <= rows {
                 let i = row0 + r;
-                let (o0, rest) = out[r * n..(r + 4) * n].split_at_mut(n);
-                let (o1, rest) = rest.split_at_mut(n);
-                let (o2, o3) = rest.split_at_mut(n);
-                let o0 = &mut o0[jb..jb + jw];
-                let o1 = &mut o1[jb..jb + jw];
-                let o2 = &mut o2[jb..jb + jw];
-                let o3 = &mut o3[jb..jb + jw];
-                for p in pb..pb + pw {
-                    let a_col = &a[p * m + i..][..4];
-                    let (v0, v1, v2, v3) = (a_col[0], a_col[1], a_col[2], a_col[3]);
-                    let b_row = &b[p * n + jb..][..jw];
-                    for (j, &bv) in b_row.iter().enumerate() {
-                        o0[j] += v0 * bv;
-                        o1[j] += v1 * bv;
-                        o2[j] += v2 * bv;
-                        o3[j] += v3 * bv;
+                let mut j = 0;
+                while j + 8 <= jw {
+                    let col = jb + j;
+                    let mut acc0 = [0.0f32; 8];
+                    let mut acc1 = [0.0f32; 8];
+                    let mut acc2 = [0.0f32; 8];
+                    let mut acc3 = [0.0f32; 8];
+                    acc0.copy_from_slice(&out[r * n + col..][..8]);
+                    acc1.copy_from_slice(&out[(r + 1) * n + col..][..8]);
+                    acc2.copy_from_slice(&out[(r + 2) * n + col..][..8]);
+                    acc3.copy_from_slice(&out[(r + 3) * n + col..][..8]);
+                    for p in pb..pb + pw {
+                        let a4 = &a[p * m + i..][..4];
+                        let (v0, v1, v2, v3) = (a4[0], a4[1], a4[2], a4[3]);
+                        let b8 = &b[p * n + col..][..8];
+                        for l in 0..8 {
+                            acc0[l] += v0 * b8[l];
+                            acc1[l] += v1 * b8[l];
+                            acc2[l] += v2 * b8[l];
+                            acc3[l] += v3 * b8[l];
+                        }
+                    }
+                    out[r * n + col..][..8].copy_from_slice(&acc0);
+                    out[(r + 1) * n + col..][..8].copy_from_slice(&acc1);
+                    out[(r + 2) * n + col..][..8].copy_from_slice(&acc2);
+                    out[(r + 3) * n + col..][..8].copy_from_slice(&acc3);
+                    j += 8;
+                }
+                if j < jw {
+                    // Column remainder (< 8 wide): plain per-p accumulation.
+                    for p in pb..pb + pw {
+                        let a4 = &a[p * m + i..][..4];
+                        let (v0, v1, v2, v3) = (a4[0], a4[1], a4[2], a4[3]);
+                        let b_row = &b[p * n + jb + j..][..jw - j];
+                        for (l, &bv) in b_row.iter().enumerate() {
+                            out[r * n + jb + j + l] += v0 * bv;
+                            out[(r + 1) * n + jb + j + l] += v1 * bv;
+                            out[(r + 2) * n + jb + j + l] += v2 * bv;
+                            out[(r + 3) * n + jb + j + l] += v3 * bv;
+                        }
                     }
                 }
                 r += 4;
@@ -464,14 +492,16 @@ impl Matrix {
         Matrix { rows: self.rows, cols: self.cols, data }
     }
 
-    /// Elementwise product into a new matrix.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
+    /// Elementwise `f(self, other)` into a new matrix.
+    pub fn zip_map(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32 + Sync) -> Matrix {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         let mut data = vec![0.0f32; self.data.len()];
         let (a, b) = (&self.data, &other.data);
         pool::par_chunks_mut(&mut data, pool::elem_chunk(a.len()), |offset, chunk| {
-            for (i, o) in chunk.iter_mut().enumerate() {
-                *o = a[offset + i] * b[offset + i];
+            let n = chunk.len();
+            let src = a[offset..offset + n].iter().zip(&b[offset..offset + n]);
+            for (o, (&x, &y)) in chunk.iter_mut().zip(src) {
+                *o = f(x, y);
             }
         });
         Matrix { rows: self.rows, cols: self.cols, data }
@@ -629,7 +659,7 @@ mod tests {
         assert_eq!(x.row(1), &[1., 2., 3.]);
         let y = x.map(|v| v * 2.0);
         assert_eq!(y.row(0), &[2., 4., 6.]);
-        let h = x.hadamard(&y);
+        let h = x.zip_map(&y, |a, b| a * b);
         assert_eq!(h.row(0), &[2., 8., 18.]);
         let mut z = x.clone();
         z.sub_assign(&x);
@@ -681,42 +711,89 @@ mod tests {
         let _ = a.matmul(&b);
     }
 
-    /// Naive triple-loop reference. Test data is small-integer valued, so
-    /// every partial sum is exactly representable in f32 and the reference
-    /// must match the tiled kernels bit for bit.
-    fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(a.rows(), b.cols());
-        for i in 0..a.rows() {
-            for j in 0..b.cols() {
+    fn int_matrix(rows: usize, cols: usize, salt: usize) -> Matrix {
+        Matrix::from_fn(rows, cols, |r, c| ((r * 31 + c * 7 + salt) % 13) as f32 - 6.0)
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `matmul`'s and `matmul_tn`'s per-element order: `out[i][j]` starts
+    /// at zero and adds `a[i][p] * b[p][j]` for `p` ascending.
+    fn ascending_p(a: &Matrix, b: &Matrix) -> Vec<f32> {
+        let (m_, k_, n_) = (a.rows(), a.cols(), b.cols());
+        let mut out = vec![0.0f32; m_ * n_];
+        for i in 0..m_ {
+            for j in 0..n_ {
                 let mut acc = 0.0f32;
-                for p in 0..a.cols() {
+                for p in 0..k_ {
                     acc += a.get(i, p) * b.get(p, j);
                 }
-                out.set(i, j, acc);
+                out[i * n_ + j] = acc;
             }
         }
         out
     }
 
-    fn int_matrix(rows: usize, cols: usize, salt: usize) -> Matrix {
-        Matrix::from_fn(rows, cols, |r, c| ((r * 31 + c * 7 + salt) % 13) as f32 - 6.0)
+    /// `matmul_nt`'s per-element order (its `dot`): lane `l` adds the
+    /// products at `p ≡ l (mod 8)` ascending over the whole eight-wide
+    /// chunks, a tail adds the rest, then
+    /// `((l0 + l4) + (l1 + l5)) + ((l2 + l6) + (l3 + l7)) + tail`.
+    fn eight_lanes(a_row: &[f32], b_row: &[f32]) -> f32 {
+        let full = a_row.len() - a_row.len() % 8;
+        let mut lanes = [0.0f32; 8];
+        for p in 0..full {
+            lanes[p % 8] += a_row[p] * b_row[p];
+        }
+        let mut tail = 0.0f32;
+        for p in full..a_row.len() {
+            tail += a_row[p] * b_row[p];
+        }
+        let l = lanes;
+        (((l[0] + l[4]) + (l[1] + l[5])) + ((l[2] + l[6]) + (l[3] + l[7]))) + tail
     }
 
     #[test]
-    fn tiled_kernels_match_naive_reference_exactly() {
-        // Shapes chosen to straddle tile boundaries: 1×1 (degenerate),
-        // 17×33·33×65 (non-square, nothing divides the tiles), 3×70·70×5
-        // (rows < tile, k crosses TILE_K=64), 5×70·70×300 (n crosses
-        // TILE_N=256).
-        for (m_, k_, n_) in [(1, 1, 1), (17, 33, 65), (3, 70, 5), (5, 70, 300)] {
-            let a = int_matrix(m_, k_, 1);
-            let b = int_matrix(k_, n_, 2);
-            let want = naive_matmul(&a, &b);
-            assert_eq!(a.matmul(&b).data(), want.data(), "matmul {m_}x{k_}·{k_}x{n_}");
-            let at = a.transpose();
-            assert_eq!(at.matmul_tn(&b).data(), want.data(), "matmul_tn {m_}x{k_}·{k_}x{n_}");
+    fn gemm_kernels_follow_their_documented_accumulation_order() {
+        use rand::SeedableRng;
+        // Random non-integer data: unlike small integers, its partial sums
+        // round, so any reordering of an element's sum changes its bits.
+        // The shapes (m, k, n) straddle the 4-row and 8-column register
+        // tiles, TILE_K and TILE_N (5×70·70×300). The last clears
+        // PAR_FLOPS_MIN, so with several workers the kernels run
+        // row-chunked, on chunks that start off the 4-row grid.
+        let shapes = [
+            (1, 1, 1),
+            (5, 3, 9),
+            (3, 70, 5),
+            (26, 8, 26),
+            (62, 8, 62),
+            (13, 70, 37),
+            (17, 33, 65),
+            (7, 64, 33),
+            (40, 130, 12),
+            (5, 70, 300),
+            (130, 520, 500),
+        ];
+        assert!(shapes.iter().any(|&(m_, k_, n_)| m_ * k_ * n_ >= PAR_FLOPS_MIN));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        for (m_, k_, n_) in shapes {
+            let a = crate::init::normal(&mut rng, m_, k_, 1.0);
+            let b = crate::init::normal(&mut rng, k_, n_, 1.0);
+            let want = bits(&ascending_p(&a, &b));
+            assert_eq!(bits(a.matmul(&b).data()), want, "matmul {m_}x{k_}·{k_}x{n_}");
+            // Transposing copies values exactly, so aᵀ's matmul_tn must
+            // give the same bits.
+            let got_tn = a.transpose().matmul_tn(&b);
+            assert_eq!(bits(got_tn.data()), want, "matmul_tn {m_}x{k_}·{k_}x{n_}");
             let bt = b.transpose();
-            assert_eq!(a.matmul_nt(&bt).data(), want.data(), "matmul_nt {m_}x{k_}·{k_}x{n_}");
+            let want_nt: Vec<f32> = (0..m_)
+                .flat_map(|i| (0..n_).map(move |j| (i, j)))
+                .map(|(i, j)| eight_lanes(a.row(i), bt.row(j)))
+                .collect();
+            let got_nt = a.matmul_nt(&bt);
+            assert_eq!(bits(got_nt.data()), bits(&want_nt), "matmul_nt {m_}x{k_}·{k_}x{n_}");
         }
     }
 

@@ -240,10 +240,11 @@ where
 }
 
 /// Deterministic parallel reduction: split `0..len` into [`REDUCE_SHARDS`]
-/// fixed shards, compute `partial(range)` per shard (in parallel), then
-/// left-fold the partials **in shard order** with `combine`. Because the
-/// shard boundaries and fold order are pure functions of `len`, the result
-/// is bitwise identical for every thread count.
+/// fixed shards, compute `partial(range)` per shard (in parallel once `len`
+/// clears [`par_map_work`]'s gate), then left-fold the partials **in shard
+/// order** with `combine`. Because the shard boundaries and fold order are
+/// pure functions of `len`, the result is bitwise identical for every
+/// thread count.
 pub fn reduce_shards<R, P, C>(len: usize, init: R, partial: P, combine: C) -> R
 where
     R: Send,
@@ -251,7 +252,7 @@ where
     C: Fn(R, R) -> R,
 {
     let ranges = shard_ranges(len, REDUCE_SHARDS);
-    let partials = par_map(ranges.len(), |i| partial(ranges[i].clone()));
+    let partials = par_map_work(ranges.len(), len, |i| partial(ranges[i].clone()));
     partials.into_iter().fold(init, combine)
 }
 
@@ -366,6 +367,20 @@ mod tests {
         let expect: Vec<usize> = (0..8).map(|i| i * 7).collect();
         assert_eq!(small, expect, "sequential path below the gate");
         assert_eq!(big, expect, "parallel path above the gate");
+    }
+
+    #[test]
+    fn reduce_shards_below_the_work_gate_stays_on_the_calling_thread() {
+        set_threads(4);
+        let caller = std::thread::current().id();
+        let on_caller = reduce_shards(
+            PAR_WORK_MIN - 1,
+            true,
+            |_| std::thread::current().id() == caller,
+            |acc, p| acc && p,
+        );
+        set_threads(0);
+        assert!(on_caller, "a partial below PAR_WORK_MIN ran on a worker thread");
     }
 
     #[test]
