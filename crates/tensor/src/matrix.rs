@@ -5,8 +5,9 @@
 //! All kernels are deterministic at every thread count: output rows are
 //! disjoint shards, and each output element's accumulation order is a pure
 //! function of the shapes (tile loops keep the inner `p` index globally
-//! ascending), so the tiled parallel kernels produce bitwise-identical
-//! results to their sequential forms.
+//! ascending; every `matmul_nt` element keeps `dot`'s eight lanes and fixed
+//! reduction tree, whichever of its kernels runs), so the tiled parallel
+//! kernels produce bitwise-identical results to their sequential forms.
 
 use std::fmt;
 
@@ -25,6 +26,11 @@ const TILE_N: usize = 256;
 /// a few percent and parallel dispatch wins outright on every shape that
 /// clears the gate.
 const PAR_FLOPS_MIN: usize = 1 << 25;
+/// Fewest rows of `a` for which `matmul_nt` at `k = 8` pays for the
+/// transposed copy of `b`. In a single-thread probe at n = 26 and 13 the
+/// column kernel ran about 0.5× of `dot` with one row, 0.6–0.9× with two,
+/// 1.0–1.1× with three and 1.2–1.3× with four.
+const NT_ONE_CHUNK_ROWS_MIN: usize = 4;
 
 /// Rows per parallel chunk for an op of `work` total scalar operations over
 /// `rows` independent rows; `rows` (one chunk → sequential) when threading
@@ -245,6 +251,30 @@ fn matmul_nt_rows(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, k: usize, 
     }
 }
 
+/// [`matmul_nt_rows`] for `k == 8`, where every `dot` is one eight-lane
+/// chunk: lane `p` is `+0.0 + a[p] * b[j][p]`, the lanes meet in the fixed
+/// tree, and the empty tail adds `+0.0`. `bt` is `b` transposed (`8 × n`),
+/// so the loop over a row's output columns reads each `bt` row contiguously
+/// and vectorises, four columns to a vector register, each column in
+/// exactly that order.
+fn matmul_nt_rows_one_chunk(a: &[f32], bt: &[f32], out: &mut [f32], row0: usize, n: usize) {
+    if n == 0 {
+        return;
+    }
+    let bt_row = |p: usize| &bt[p * n..][..n];
+    let (b0, b1, b2, b3) = (bt_row(0), bt_row(1), bt_row(2), bt_row(3));
+    let (b4, b5, b6, b7) = (bt_row(4), bt_row(5), bt_row(6), bt_row(7));
+    for (r, o_row) in out.chunks_exact_mut(n).enumerate() {
+        let a_row = &a[(row0 + r) * 8..][..8];
+        for (j, o) in o_row.iter_mut().enumerate() {
+            let lane = |p: usize, bt_p: &[f32]| 0.0 + a_row[p] * bt_p[j];
+            let s04_15 = (lane(0, b0) + lane(4, b4)) + (lane(1, b1) + lane(5, b5));
+            let s26_37 = (lane(2, b2) + lane(6, b6)) + (lane(3, b3) + lane(7, b7));
+            *o = (s04_15 + s26_37) + 0.0;
+        }
+    }
+}
+
 /// Dense row-major matrix of `f32`.
 #[derive(Clone, PartialEq)]
 pub struct Matrix {
@@ -383,7 +413,14 @@ impl Matrix {
         out
     }
 
-    /// `self @ otherᵀ` — (m×k)·(n×k)ᵀ → m×n.
+    /// `self @ otherᵀ` — (m×k)·(n×k)ᵀ → m×n. Every element has the bits of
+    /// `dot` on its two rows. At `k = 8`, one eight-lane chunk (attention
+    /// heads of eight dimensions), with at least `NT_ONE_CHUNK_ROWS_MIN`
+    /// rows, `other` is first copied to its `8 × n` transpose, so a row's
+    /// columns run four to a vector register instead of each paying `dot`'s
+    /// horizontal reduction. Otherwise each element is its own `dot`: column
+    /// kernels measured slower for several chunks, and the copy costs more
+    /// than it saves on fewer rows.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_nt inner dims");
         let (m, k, n) = (self.rows, self.cols, other.rows);
@@ -391,9 +428,24 @@ impl Matrix {
         nfm_obs::counter!("tensor.matmul.macs", nfm_obs::Unit::Macs).add((m * k * n) as u64);
         let mut out = Matrix::zeros(m, n);
         let (a, b) = (&self.data, &other.data);
+        let one_chunk = k == 8 && m >= NT_ONE_CHUNK_ROWS_MIN;
+        let mut bt = Vec::new();
+        if one_chunk {
+            bt.resize(8 * n, 0.0);
+            for j in 0..n {
+                for p in 0..8 {
+                    bt[p * n + j] = b[j * 8 + p];
+                }
+            }
+        }
         let chunk_rows = row_chunk(m, m * k * n);
         pool::par_chunks_mut(&mut out.data, chunk_rows * n, |offset, chunk| {
-            matmul_nt_rows(a, b, chunk, offset / n.max(1), k, n);
+            let row0 = offset / n.max(1);
+            if one_chunk {
+                matmul_nt_rows_one_chunk(a, &bt, chunk, row0, n);
+            } else {
+                matmul_nt_rows(a, b, chunk, row0, k, n);
+            }
         });
         out
     }
@@ -763,6 +815,11 @@ mod tests {
         // tiles, TILE_K and TILE_N (5×70·70×300). The last clears
         // PAR_FLOPS_MIN, so with several workers the kernels run
         // row-chunked, on chunks that start off the 4-row grid.
+        // matmul_nt runs its column kernel only at k = 8 with four rows or
+        // more: (26, 6, 26) is `dot`'s tail alone, as in the golden
+        // digests' heads; (7, 8, 1), (5, 8, 3) and (9, 8, 6) have fewer
+        // than four columns or a column remainder; (3, 8, 26) has one row
+        // too few; (26, 9, 26) and (6, 16, 5) sit just past k = 8.
         let shapes = [
             (1, 1, 1),
             (5, 3, 9),
@@ -775,6 +832,13 @@ mod tests {
             (40, 130, 12),
             (5, 70, 300),
             (130, 520, 500),
+            (26, 6, 26),
+            (7, 8, 1),
+            (5, 8, 3),
+            (9, 8, 6),
+            (3, 8, 26),
+            (26, 9, 26),
+            (6, 16, 5),
         ];
         assert!(shapes.iter().any(|&(m_, k_, n_)| m_ * k_ * n_ >= PAR_FLOPS_MIN));
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
@@ -794,6 +858,16 @@ mod tests {
                 .collect();
             let got_nt = a.matmul_nt(&bt);
             assert_eq!(bits(got_nt.data()), bits(&want_nt), "matmul_nt {m_}x{k_}·{k_}x{n_}");
+        }
+        // Products that are all -0.0: the lanes and the tail start at
+        // +0.0, so every element is +0.0, on both sides of the switch.
+        // Random normal data never makes an exact zero.
+        for k_ in [3, 8, 11] {
+            let a = Matrix::zeros(5, k_);
+            let b = Matrix::from_fn(6, k_, |r, c| -1.0 - (r + c) as f32);
+            let got = a.matmul_nt(&b);
+            assert!(got.data().iter().all(|v| v.to_bits() == 0), "matmul_nt -0.0 at k = {k_}");
+            assert_eq!(eight_lanes(a.row(0), b.row(0)).to_bits(), 0);
         }
     }
 
@@ -855,6 +929,18 @@ mod tests {
                 );
             }
             assert_eq!(whole_nt, parts_nt, "matmul_nt_rows split {split}");
+
+            // The one-chunk kernel reads b (n×8) as its 8×n transpose.
+            let a8 = int_matrix(m_, 8, 7);
+            let b8t = int_matrix(8, n_, 8);
+            let mut whole_8 = vec![0.0f32; m_ * n_];
+            let mut parts_8 = vec![0.0f32; m_ * n_];
+            matmul_nt_rows_one_chunk(a8.data(), b8t.data(), &mut whole_8, 0, n_);
+            for r in shard_test_ranges(m_, split) {
+                let part = &mut parts_8[r.start * n_..r.end * n_];
+                matmul_nt_rows_one_chunk(a8.data(), b8t.data(), part, r.start, n_);
+            }
+            assert_eq!(whole_8, parts_8, "matmul_nt_rows_one_chunk split {split}");
         }
     }
 
