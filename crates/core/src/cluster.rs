@@ -35,6 +35,8 @@
 //! [`nfm_traffic::faults::ReplicaFault`]s keyed by tick, and every counter
 //! is an integer — so a full chaos sweep (E16) reproduces bit for bit.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};

@@ -32,7 +32,9 @@
 //! Every admitted request gets a response — from the model or the fallback —
 //! and nothing in this module panics on hostile input.
 
-use std::collections::VecDeque;
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::path::Path;
@@ -44,6 +46,7 @@ use nfm_model::tokenize::Tokenizer;
 use nfm_net::capture::{Trace, TracePacket};
 use nfm_net::flow::FlowTable;
 use nfm_tensor::checkpoint::CheckpointError;
+use nfm_tensor::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -473,13 +476,6 @@ impl ServeStats {
             self.answered() as f64 / self.arrived as f64
         }
     }
-
-    /// Fold one capture's ingest accounting into these statistics.
-    fn record_ingest(&mut self, ingest: &IngestStats) {
-        self.malformed_packets += ingest.malformed_packets;
-        self.flows_assembled += ingest.flows_assembled;
-        self.empty_contexts += ingest.empty_contexts;
-    }
 }
 
 /// The set of task lanes a request fans out to, as a bitmask (bit `k` =
@@ -875,7 +871,9 @@ impl ServeEngine {
     /// already queued on this engine are untouched, and the returned
     /// response always belongs to `request`'s flow.
     pub fn serve_one(&mut self, request: ServeRequest) -> Response {
-        self.answer(request, None)
+        let mut settled = settle(std::slice::from_mut(self), &[vec![request]]);
+        // One lane settling one request answers it exactly once.
+        settled.responses[0].swap_remove(0)
     }
 
     /// Answer every queued request, in admission order, one at a time
@@ -883,11 +881,8 @@ impl ServeEngine {
     /// and statistics [`ServeEngine::serve_one`] gives for the same
     /// requests in turn.
     pub fn drain_queue(&mut self) -> Vec<Response> {
-        let mut responses = Vec::with_capacity(self.queue.len());
-        while let Some(req) = self.queue.pop_front() {
-            responses.push(self.answer(req, None));
-        }
-        responses
+        let pending = [self.queue.drain(..).collect()];
+        settle(std::slice::from_mut(self), &pending).responses.pop().unwrap_or_default()
     }
 
     /// Admission control for one arrival. Below the watermark the request
@@ -962,41 +957,29 @@ impl ServeEngine {
     /// deadline budget, and the retry policy), fallback otherwise. Always
     /// returns a response.
     ///
-    /// `pre` is the drain's precomputed model outcome at the full
-    /// `deadline_budget` ([`MultiTaskServer::drain`] computes it once per
-    /// distinct flow and lane). `None` computes it lazily, and only when
-    /// the breaker admits the request. Because the model is deterministic,
-    /// every retry would recompute the same logits at the same cost, so
-    /// the one outcome replays the whole retry ladder: an attempt with
-    /// `remaining` budget succeeds iff the outcome's cost fits, and fails
-    /// with a deadline error otherwise (the state machine matches the
-    /// error variant only, so the replayed error's accounting fields never
-    /// influence a response).
-    fn answer(&mut self, request: ServeRequest, pre: Option<CostedLogits>) -> Response {
+    /// `outcome` yields the model's logits and cost at the full
+    /// `deadline_budget`, or its typed refusal, from this engine's
+    /// classifier and that budget; it is called only once the breaker
+    /// admits the request. Because the model is deterministic, every retry
+    /// would recompute the same logits at the same cost, so the one outcome
+    /// replays the whole retry ladder: an attempt with `remaining` budget
+    /// succeeds iff the outcome's cost fits, and misses its deadline
+    /// otherwise.
+    fn answer<'m>(
+        &mut self,
+        request: &ServeRequest,
+        outcome: impl FnOnce(&FmClassifier, u64) -> &'m CostedLogits,
+    ) -> Response {
         let budget = self.config.deadline_budget;
         let mut remaining = budget;
         let mut retries_used = 0usize;
         let mut deadline_missed = false;
         if self.breaker.try_acquire() {
-            let pre = pre.unwrap_or_else(|| self.clf.logits_within(&request.tokens, budget));
+            let outcome = outcome(&self.clf, budget);
             loop {
-                let attempt = match &pre {
-                    Ok((logits, cost)) => {
-                        if *cost <= remaining {
-                            Ok((logits.clone(), *cost))
-                        } else {
-                            Err(InferError::DeadlineExceeded {
-                                spent: 0,
-                                needed: *cost,
-                                budget: remaining,
-                            })
-                        }
-                    }
-                    Err(e) => Err(e.clone()),
-                };
-                match attempt {
-                    Ok((logits, spent)) => {
-                        remaining = remaining.saturating_sub(spent);
+                match outcome {
+                    Ok((logits, cost)) if *cost <= remaining => {
+                        remaining -= cost;
                         if logits.iter().all(|v| v.is_finite()) {
                             self.breaker.on_success();
                             self.stats.answered_model += 1;
@@ -1007,8 +990,8 @@ impl ServeEngine {
                                 nfm_obs::COST_EDGES
                             )
                             .observe(budget - remaining);
-                            let class = argmax_nan_tolerant(&logits);
-                            self.score_drift(&request, class, &logits);
+                            let class = argmax_nan_tolerant(logits);
+                            self.score_drift(request, class, logits);
                             return Response {
                                 flow: request.flow,
                                 class,
@@ -1041,7 +1024,7 @@ impl ServeEngine {
                         self.breaker.on_failure();
                         break;
                     }
-                    Err(InferError::DeadlineExceeded { .. }) => {
+                    Ok(_) | Err(InferError::DeadlineExceeded { .. }) => {
                         // A deadline miss is load, not model health: the
                         // fallback answers but the breaker is not charged.
                         deadline_missed = true;
@@ -1084,7 +1067,9 @@ impl ServeEngine {
         schedule: &[usize],
     ) -> Vec<Response> {
         let (requests, ingest) = assemble_requests(trace, tokenizer, self.config.max_tokens);
-        self.stats.record_ingest(&ingest);
+        self.stats.malformed_packets += ingest.malformed_packets;
+        self.stats.flows_assembled += ingest.flows_assembled;
+        self.stats.empty_contexts += ingest.empty_contexts;
         let mut responses = Vec::with_capacity(requests.len());
         for group in burst_groups(requests, schedule) {
             for request in group {
@@ -1094,6 +1079,79 @@ impl ServeEngine {
         }
         responses
     }
+}
+
+/// One [`settle`] pass: each lane's responses and the rows computed to
+/// produce them.
+struct Settled {
+    /// One vector per lane, lane order, each in that lane's admission
+    /// order.
+    responses: Vec<Vec<Response>>,
+    /// Distinct `(flow, tokens)` keys among the settled requests.
+    flows: usize,
+    /// Pooled encoder rows computed: one per distinct key that some lane
+    /// admitted and the deadline budget covered.
+    encoder_rows: usize,
+    /// Head rows computed: one per lane and distinct key that the lane
+    /// admitted and the deadline budget covered.
+    head_rows: usize,
+}
+
+/// The one serving compute path: settle `pending[k]` on `lanes[k]`, lane
+/// by lane, each in admission order through [`ServeEngine::answer`].
+///
+/// Requests are grouped by `(flow, tokens)`. Compute is lazy and shared:
+/// the first lane whose breaker admits a group runs the encoder for it
+/// ([`FmBackbone::pooled_within`]), and each admitting lane runs its own
+/// head on that pooled row once ([`TaskHead::logits_within`]); a lane
+/// whose breaker refuses computes nothing. Every lane must serve the same
+/// backbone under the same deadline budget — one engine, or a
+/// [`MultiTaskServer`]'s lanes — and the model is deterministic, so each
+/// response is bitwise what an engine computing every request afresh
+/// would give.
+fn settle(lanes: &mut [ServeEngine], pending: &[Vec<ServeRequest>]) -> Settled {
+    let mut keys: HashMap<(usize, &[String]), usize> = HashMap::new();
+    let groups: Vec<Vec<usize>> = pending
+        .iter()
+        .map(|requests| {
+            requests
+                .iter()
+                .map(|r| {
+                    let next = keys.len();
+                    *keys.entry((r.flow, &r.tokens)).or_insert(next)
+                })
+                .collect()
+        })
+        .collect();
+    let flows = keys.len();
+    // Per group: the shared pooled row, and (per lane) the head's outcome.
+    let mut rows: Vec<Option<Result<(Matrix, u64), InferError>>> = vec![None; flows];
+    let (mut encoder_rows, mut head_rows) = (0, 0);
+    let mut responses = Vec::with_capacity(lanes.len());
+    for ((lane, requests), groups) in lanes.iter_mut().zip(pending).zip(&groups) {
+        let mut outcomes: Vec<Option<CostedLogits>> = vec![None; flows];
+        let mut answers = Vec::with_capacity(requests.len());
+        for (request, &g) in requests.iter().zip(groups) {
+            let (row, outcome) = (&mut rows[g], &mut outcomes[g]);
+            answers.push(lane.answer(request, |clf, budget| {
+                outcome.get_or_insert_with(|| {
+                    let encoded = row.get_or_insert_with(|| {
+                        let encoded = clf.backbone().pooled_within(&request.tokens, budget);
+                        encoder_rows += usize::from(encoded.is_ok());
+                        encoded
+                    });
+                    let logits = match encoded {
+                        Ok((pooled, spent)) => clf.head().logits_within(pooled, *spent, budget),
+                        Err(e) => Err(e.clone()),
+                    };
+                    head_rows += usize::from(logits.is_ok());
+                    logits
+                })
+            }));
+        }
+        responses.push(answers);
+    }
+    Settled { responses, flows, encoder_rows, head_rows }
 }
 
 /// All-integer accounting for the shared fan-out path of a
@@ -1107,10 +1165,11 @@ pub struct MultiTaskStats {
     pub submitted: usize,
     /// `(request, task)` pairs offered to per-task admission control.
     pub lane_offers: usize,
-    /// Shared encoder forwards run (one per distinct affordable flow per
-    /// drain).
+    /// Shared encoder forwards run: one per drain and distinct flow that
+    /// some lane admitted and the deadline budget covered.
     pub encoder_rows: usize,
-    /// Per-task head rows computed across all lanes.
+    /// Per-task head rows computed: one per drain, distinct flow and lane
+    /// that admitted it, when the deadline budget covered the head.
     pub head_rows: usize,
 }
 
@@ -1125,14 +1184,15 @@ pub struct MultiTaskStats {
 /// circuit breaker, retry/deadline state machine, [`ServeStats`], drift
 /// monitor, and quarantine buffer — all seeded exactly as a standalone
 /// engine with the same [`ServeConfig`] would be. Every lane's classifier
-/// holds the server's one backbone allocation. Only the *compute* is
-/// shared: [`MultiTaskServer::drain`] collects every lane's queued work,
-/// runs the encoder once per distinct flow, fans the pooled embedding out
-/// to each task's head, and replays each lane's answers through the
-/// unchanged [`ServeEngine`] state machine. Responses and statistics are
-/// therefore bitwise identical to K standalone engines fed the same
-/// per-task request streams — the invariant `exp_e19` and the multi-task
-/// proptests assert.
+/// holds the server's one backbone allocation, and every lane has the
+/// server's deadline budget. Only the *compute* is shared:
+/// [`MultiTaskServer::drain`] settles every lane's queued work through the
+/// same routine a standalone engine's [`ServeEngine::drain_queue`] uses,
+/// which runs the encoder once per distinct flow some lane admits and
+/// fans the pooled embedding out to each admitting task's head. Responses
+/// and statistics are therefore bitwise identical to K standalone engines
+/// fed the same per-task request streams — the invariant `exp_e19` and
+/// the multi-task proptests assert.
 ///
 /// Per-request deadline budgets stay per-task-honest: each lane's answer
 /// is charged its own encoder spend plus its own head cost, exactly as
@@ -1140,7 +1200,6 @@ pub struct MultiTaskStats {
 pub struct MultiTaskServer {
     backbone: Arc<FmBackbone>,
     lanes: Vec<ServeEngine>,
-    config: ServeConfig,
     stats: MultiTaskStats,
 }
 
@@ -1155,8 +1214,6 @@ impl MultiTaskServer {
         tasks: Vec<(TaskHead, Fallback)>,
         config: ServeConfig,
     ) -> MultiTaskServer {
-        let mut config = config;
-        config.queue_capacity = config.queue_capacity.max(1);
         let backbone = Arc::new(backbone);
         let lanes = tasks
             .into_iter()
@@ -1165,7 +1222,7 @@ impl MultiTaskServer {
                 ServeEngine::new(FmClassifier::new(Arc::clone(&backbone), head), fallback, config)
             })
             .collect();
-        MultiTaskServer { backbone, lanes, config, stats: MultiTaskStats::default() }
+        MultiTaskServer { backbone, lanes, stats: MultiTaskStats::default() }
     }
 
     /// Number of task lanes.
@@ -1178,13 +1235,8 @@ impl MultiTaskServer {
         &self.backbone
     }
 
-    /// Task `k`'s head.
-    pub fn head(&self, k: usize) -> Option<&TaskHead> {
-        self.lanes.get(k).map(|l| l.clf.head())
-    }
-
-    /// Task `k`'s serving lane (for inspection: breaker, drift monitor,
-    /// quarantine). Lane models change only through
+    /// Task `k`'s serving lane (for inspection: model and head, breaker,
+    /// drift monitor, quarantine). Lane models change only through
     /// [`MultiTaskServer::replace_head`], which keeps the shared backbone.
     pub fn lane(&self, k: usize) -> Option<&ServeEngine> {
         self.lanes.get(k)
@@ -1201,26 +1253,12 @@ impl MultiTaskServer {
         self.stats
     }
 
-    /// Replace the per-request deadline budget on every lane (see
-    /// [`ServeEngine::set_deadline_budget`]).
-    pub fn set_deadline_budget(&mut self, budget: u64) {
-        self.config.deadline_budget = budget;
-        for lane in &mut self.lanes {
-            lane.set_deadline_budget(budget);
-        }
-    }
-
     /// Arm (or replace) task `k`'s drift monitor — monitors are per task,
     /// so one task drifting never trips or quarantines another.
     pub fn enable_drift(&mut self, k: usize, monitor: DriftMonitor) {
         if let Some(lane) = self.lanes.get_mut(k) {
             lane.enable_drift(monitor);
         }
-    }
-
-    /// Task `k`'s quarantine buffer of drift-flagged traffic.
-    pub fn quarantine(&self, k: usize) -> Option<&QuarantineBuffer> {
-        self.lanes.get(k).map(|l| l.quarantine())
     }
 
     /// Mutable quarantine buffer for task `k` — the per-head adaptation
@@ -1274,88 +1312,30 @@ impl MultiTaskServer {
     /// Answer every queued request on every lane. Returns one response
     /// vector per task (lane order), each in that lane's admission order
     /// and bitwise identical to what the corresponding standalone engine's
-    /// [`ServeEngine::drain_queue`] would return.
-    ///
-    /// The drain dissolves the lanes' queues into a list of *distinct*
-    /// flows, runs the shared encoder once per flow under the deadline
-    /// budget, runs each queuing task's head once on the pooled
-    /// embedding, and finally replays every lane's answers in admission
-    /// order through the unchanged breaker/retry/deadline state machine.
+    /// [`ServeEngine::drain_queue`] would return: both settle through one
+    /// routine, here over all K lanes at once, so a flow queued on several
+    /// lanes runs the shared encoder once.
     pub fn drain(&mut self) -> Vec<Vec<Response>> {
-        let mut out: Vec<Vec<Response>> = self.lanes.iter().map(|_| Vec::new()).collect();
-        // Dissolve every lane's queue (admission order preserved per lane).
         let pending: Vec<Vec<ServeRequest>> =
             self.lanes.iter_mut().map(|l| l.queue.drain(..).collect()).collect();
-        if pending.iter().all(|p| p.is_empty()) {
-            return out;
+        let settled = settle(&mut self.lanes, &pending);
+        if settled.flows == 0 {
+            return settled.responses;
         }
-        // Distinct flows in first-appearance order, with the union of the
-        // lanes that queued each one.
-        let mut uniq: Vec<ServeRequest> = Vec::new();
-        let mut need: Vec<u64> = Vec::new();
-        let mut index: std::collections::HashMap<(usize, Vec<String>), usize> =
-            std::collections::HashMap::new();
-        let mut uniq_of: Vec<Vec<usize>> = Vec::with_capacity(pending.len());
-        for (k, reqs) in pending.iter().enumerate() {
-            let mut map = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let key = (r.flow, r.tokens.clone());
-                let u = *index.entry(key).or_insert_with(|| {
-                    uniq.push(r.clone());
-                    need.push(0);
-                    uniq.len() - 1
-                });
-                need[u] |= 1u64 << k;
-                map.push(u);
-            }
-            uniq_of.push(map);
-        }
-        // Per-(lane, unique) outcomes: one encoder forward per flow, one
-        // head forward per lane that queued it.
-        let budget = self.config.deadline_budget;
-        let mut lane_pre: Vec<Vec<Option<CostedLogits>>> =
-            vec![vec![None; uniq.len()]; self.lanes.len()];
-        for (u, req) in uniq.iter().enumerate() {
-            let encoded = self.backbone.pooled_within(&req.tokens, budget);
-            if encoded.is_ok() {
-                self.stats.encoder_rows += 1;
-                nfm_obs::counter!("serve.task.encoder_rows").inc();
-            }
-            for (k, lane) in self.lanes.iter().enumerate() {
-                if need[u] & (1u64 << k) == 0 {
-                    continue;
-                }
-                let pre = match &encoded {
-                    Ok((pooled, enc_spent)) => {
-                        lane.clf.head().logits_within(pooled, *enc_spent, budget)
-                    }
-                    Err(e) => Err(e.clone()),
-                };
-                if pre.is_ok() {
-                    self.stats.head_rows += 1;
-                    nfm_obs::counter!("serve.task.head_rows").inc();
-                }
-                lane_pre[k][u] = Some(pre);
-            }
-        }
+        self.stats.encoder_rows += settled.encoder_rows;
+        self.stats.head_rows += settled.head_rows;
+        nfm_obs::counter!("serve.task.encoder_rows").add(settled.encoder_rows as u64);
+        nfm_obs::counter!("serve.task.head_rows").add(settled.head_rows as u64);
         nfm_obs::event(
             "serve.task.drain",
             &[
                 ("tasks", nfm_obs::Value::U(self.lanes.len() as u64)),
-                ("flows", nfm_obs::Value::U(uniq.len() as u64)),
+                ("flows", nfm_obs::Value::U(settled.flows as u64)),
                 ("encoder_rows", nfm_obs::Value::U(self.stats.encoder_rows as u64)),
                 ("head_rows", nfm_obs::Value::U(self.stats.head_rows as u64)),
             ],
         );
-        // Settle every lane in admission order through the unchanged
-        // serve state machine.
-        for (k, reqs) in pending.into_iter().enumerate() {
-            for (req, &u) in reqs.into_iter().zip(&uniq_of[k]) {
-                let pre = lane_pre[k][u].clone();
-                out[k].push(self.lanes[k].answer(req, pre));
-            }
-        }
-        out
+        settled.responses
     }
 
     /// Offer pre-assembled requests in the bursts [`burst_groups`] cuts
@@ -1377,24 +1357,6 @@ impl MultiTaskServer {
             }
         }
         out
-    }
-
-    /// Serve every flow in `trace` on every task: assemble once
-    /// ([`assemble_requests`], ingest accounting folded into every lane's
-    /// statistics, mirroring K standalone engines each ingesting the
-    /// capture), then run the burst schedule via
-    /// [`MultiTaskServer::serve_requests`].
-    pub fn serve_trace(
-        &mut self,
-        trace: &Trace,
-        tokenizer: &dyn Tokenizer,
-        schedule: &[usize],
-    ) -> Vec<Vec<Response>> {
-        let (requests, ingest) = assemble_requests(trace, tokenizer, self.config.max_tokens);
-        for lane in &mut self.lanes {
-            lane.stats.record_ingest(&ingest);
-        }
-        self.serve_requests(requests, schedule)
     }
 }
 
@@ -1857,6 +1819,68 @@ mod tests {
         assert_eq!(mt.head_rows, k * n, "one head row per distinct flow and task");
         assert_eq!(mt.lane_offers, 2 * k * n);
         assert!(answers.iter().all(|lane| lane.len() == 2 * n), "every lane answers every copy");
+    }
+
+    #[test]
+    fn fanout_computes_only_what_an_admitting_lane_reads() {
+        let (backbone, mut heads, priors, trace) = tiny_multitask_parts();
+        let (requests, _) =
+            assemble_requests(&trace, &FieldTokenizer::new(), ServeConfig::default().max_tokens);
+        let n = requests.len();
+        assert!(n > 1);
+        // Lane 1's head answers NaN: its first request trips the breaker,
+        // which stays open for every request after it.
+        heads[1].network_mut().visit_params(&mut |p, _| p.fill(f32::NAN));
+        let config = ServeConfig {
+            queue_capacity: n,
+            shed_watermark: n,
+            breaker: BreakerConfig { failure_threshold: 1, cooldown: n + 1, probes_to_close: 1 },
+            retry: RetryPolicy { max_retries: 0, ..RetryPolicy::default() },
+            ..ServeConfig::default()
+        };
+        let mut server = MultiTaskServer::new(backbone.clone(), task_list(&heads, &priors), config);
+        let fanned = server.serve_requests(requests.clone(), &[n]);
+        let mt = server.stats();
+        assert_eq!(mt.encoder_rows, n, "lane 0 admits every distinct flow");
+        assert_eq!(mt.head_rows, n + 1, "lane 1 computes one head row, then reads its fallback");
+        assert_eq!(server.task_stats()[1].breaker_trips, 1);
+        for (k, head) in heads.iter().enumerate() {
+            let mut solo =
+                ServeEngine::new(backbone.attach(head), Fallback::Majority(priors[k]), config);
+            let want = run_standalone(&mut solo, k, &requests, &[n]);
+            assert_eq!(fanned[k], want, "task {k} responses diverge from a standalone engine");
+            assert_eq!(server.task_stats()[k], solo.stats(), "task {k} stats diverge");
+        }
+    }
+
+    #[test]
+    fn repeated_flow_in_one_drain_answers_like_serve_one_across_a_trip() {
+        let (mut clf, _, trace) = tiny_engine_parts();
+        clf.encoder_mut().visit_params(&mut |p, _| p.fill(f32::NAN));
+        let (requests, _) =
+            assemble_requests(&trace, &FieldTokenizer::new(), ServeConfig::default().max_tokens);
+        // The first copy fails twice and trips the breaker; after a one-request
+        // cooldown the second copy is a half-open probe.
+        let config = ServeConfig {
+            breaker: BreakerConfig { failure_threshold: 1, cooldown: 1, probes_to_close: 1 },
+            retry: RetryPolicy { max_retries: 1, ..RetryPolicy::default() },
+            ..ServeConfig::default()
+        };
+        let engine = || {
+            ServeEngine::new(clf.clone(), Fallback::Majority(MajorityBaseline::fit(&[], 2)), config)
+        };
+        let mut drained = engine();
+        drained.submit(requests[0].clone());
+        drained.submit(requests[0].clone());
+        let drain = drained.drain_queue();
+        let mut one_by_one = engine();
+        let want: Vec<Response> =
+            (0..2).map(|_| one_by_one.serve_one(requests[0].clone())).collect();
+        assert_eq!(drain, want);
+        assert_eq!(drained.stats().breaker_trips, 2, "the second copy probed the model");
+        // `serve_one` skips admission, so only the admission counters differ.
+        let settled = ServeStats { arrived: 0, admitted: 0, queue_peak: 0, ..drained.stats() };
+        assert_eq!(settled, one_by_one.stats());
     }
 
     #[test]
