@@ -129,6 +129,8 @@ struct Outcome {
     pre: (usize, usize),
     post: (usize, usize),
     final_responses: Vec<Response>,
+    /// Responses returned over every `serve_trace` pass of the scenario.
+    responses: usize,
 }
 
 impl Outcome {
@@ -223,8 +225,9 @@ fn run_scenario(fx: &Fixture, scenario: &Scenario) -> Outcome {
 
     // Phase A: two warm-up passes of base-mix traffic with correct labels,
     // seeding both Page–Hinkley means at their in-distribution levels.
+    let mut responses = 0;
     for _ in 0..2 {
-        cluster.serve_trace(&fx.warmup.trace, &tok, &[], &[]);
+        responses += cluster.serve_trace(&fx.warmup.trace, &tok, &[], &[]).len();
         cluster.apply_feedback(&truth_base);
     }
     assert_eq!(
@@ -252,19 +255,21 @@ fn run_scenario(fx: &Fixture, scenario: &Scenario) -> Outcome {
     };
     let responses_b = cluster.serve_trace(trace_b, &tok, &[], &faults);
     let pre = grade(&responses_b, trace_b, &truth_drift);
+    responses += responses_b.len();
     cluster.apply_feedback(&truth_drift);
-    cluster.serve_trace(trace_b, &tok, &[], &[]);
+    responses += cluster.serve_trace(trace_b, &tok, &[], &[]).len();
     cluster.apply_feedback(&truth_drift);
 
     // Phase C: a held-out drifted trace measures post-adaptation accuracy.
     let trace_c = if scenario.mix_shift { &fx.drift_c.trace } else { &fx.base_c.trace };
     let final_responses = cluster.serve_trace(trace_c, &tok, &[], &[]);
     let post = grade(&final_responses, trace_c, &truth_drift);
+    responses += final_responses.len();
 
     let drift_trips = (0..3).map(|r| cluster.replica_stats(r).drift_trips).sum::<usize>();
     let stats = cluster.stats();
     std::fs::remove_dir_all(&dir).ok();
-    Outcome { name: scenario.name, stats, drift_trips, pre, post, final_responses }
+    Outcome { name: scenario.name, stats, drift_trips, pre, post, final_responses, responses }
 }
 
 fn scenarios() -> Vec<Scenario> {
@@ -377,6 +382,14 @@ fn main() {
         );
         assert_eq!(o.stats.rollbacks, 0, "{}: no canary should roll back here", o.name);
         assert!(o.post.1 > 0, "{}: phase C must grade against the oracle", o.name);
+        let s = &o.stats;
+        assert_eq!(
+            s.answered(),
+            s.arrived - s.shed,
+            "{}: every unshed arrival must be answered",
+            o.name
+        );
+        assert_eq!(o.responses, s.answered(), "{}: one response per answered request", o.name);
     }
 
     let control = get("no-drift");

@@ -350,21 +350,20 @@ fn unpool(dpooled: Matrix, rows: usize, pooling: Pooling) -> Matrix {
     }
 }
 
-/// Forward/backward a shard of fine-tuning examples on private replicas of
-/// the encoder and head, returning accumulated gradients (in `visit_params`
-/// order; encoder grads are empty when the encoder is frozen) and the
-/// shard's loss sum. The caller reduces shards in fixed order, so the
-/// summed gradient is bitwise identical at every thread count.
+/// Forward/backward a shard of fine-tuning examples on a worker's replica
+/// of the encoder and head, returning accumulated gradients (in
+/// `visit_params` order; encoder grads are empty when the encoder is
+/// frozen) and the shard's loss sum. The replica's gradients are zeroed
+/// first, so a replica serves every shard its worker runs. The caller
+/// reduces shards in fixed order, so the summed gradient is bitwise
+/// identical at every thread count.
 fn run_fine_tune_shard(
-    encoder: &Encoder,
-    head: &ClsHead,
+    (enc, hd): &mut (Encoder, ClsHead),
     idxs: &[usize],
     encoded: &[(Vec<usize>, usize)],
     pooling: Pooling,
     freeze_encoder: bool,
 ) -> (Vec<Vec<f32>>, Vec<Vec<f32>>, f32) {
-    let mut enc = encoder.clone();
-    let mut hd = head.clone();
     enc.zero_grad();
     hd.zero_grad();
     let mut loss_sum = 0.0f32;
@@ -407,25 +406,23 @@ impl Trainee for FineTuneState<'_> {
         self.encoder.zero_grad();
         self.head.zero_grad();
         // Fixed microbatch shards (boundaries depend only on the batch
-        // length) run on replicas in parallel; the reduction below folds
-        // them in shard order. Work-gated: forward+backward ≈ 3× the
-        // inference MACs, and below the gate the spawn + model-clone +
+        // length) run in parallel on one replica per worker; the reduction
+        // below folds them in shard order. Work-gated: forward+backward ≈ 3×
+        // the inference MACs, and below the gate the spawn + replica-clone +
         // grad-reduce overhead beats any parallel win.
-        let batch_work: usize = idxs
-            .iter()
-            .map(|&idx| 3 * self.encoder.inference_cost(self.encoded[idx].0.len()) as usize)
-            .sum();
+        let example_cost =
+            |&idx: &usize| 3 * self.encoder.inference_cost(self.encoded[idx].0.len()) as usize;
         let shards = tpool::shard_ranges(idxs.len(), tpool::REDUCE_SHARDS);
-        let results = tpool::par_map_work(shards.len(), batch_work, |s| {
-            run_fine_tune_shard(
-                &self.encoder,
-                &self.head,
-                &idxs[shards[s].clone()],
-                self.encoded,
-                self.pooling,
-                freeze_encoder,
-            )
-        });
+        let costs: Vec<usize> =
+            shards.iter().map(|r| idxs[r.clone()].iter().map(example_cost).sum()).collect();
+        let results = tpool::par_map_work(
+            &costs,
+            || (self.encoder.clone(), self.head.clone()),
+            |replica, s| {
+                let shard = &idxs[shards[s].clone()];
+                run_fine_tune_shard(replica, shard, self.encoded, self.pooling, freeze_encoder)
+            },
+        );
         let mut batch_loss = 0.0f32;
         for (enc_g, head_g, loss) in results {
             if !freeze_encoder {
@@ -669,8 +666,9 @@ impl FmClassifier {
     /// on the batch's deterministic MAC estimate so small batches skip the
     /// thread-spawn overhead.
     pub fn predict_batch(&self, batch: &[Vec<String>]) -> Vec<usize> {
-        let work: usize = batch.iter().map(|t| self.inference_cost(t.len()) as usize).sum();
-        tpool::par_map_work(batch.len(), work, |i| self.predict(&batch[i]))
+        let costs: Vec<usize> =
+            batch.iter().map(|t| self.inference_cost(t.len()) as usize).collect();
+        tpool::par_map_work(&costs, || (), |_, i| self.predict(&batch[i]))
     }
 
     /// Softmax class probabilities.
@@ -690,10 +688,9 @@ impl FmClassifier {
     /// run example-parallel; the confusion matrix accumulates integer
     /// counts, so the result never depends on the thread count.
     pub fn evaluate(&self, examples: &[TextExample]) -> crate::metrics::Confusion {
-        let work: usize =
-            examples.iter().map(|e| self.inference_cost(e.tokens.len()) as usize).sum();
-        let preds =
-            tpool::par_map_work(examples.len(), work, |i| self.predict(&examples[i].tokens));
+        let costs: Vec<usize> =
+            examples.iter().map(|e| self.inference_cost(e.tokens.len()) as usize).collect();
+        let preds = tpool::par_map_work(&costs, || (), |_, i| self.predict(&examples[i].tokens));
         let mut c = crate::metrics::Confusion::new(self.head.n_classes);
         for (e, p) in examples.iter().zip(preds) {
             c.add(e.label, p);

@@ -112,13 +112,12 @@ impl Readout<'_> {
     }
 }
 
-/// Approximate flop count of one attention pass with `n` query rows over
-/// `t` positions: the two n×t×d_head matmuls per head dominate, summed
-/// across heads. Used to gate head-level parallelism — serving single
-/// short sequences through a small model must not pay a thread spawn per
-/// layer per request.
-fn attend_work(n: usize, t: usize, d_model: usize) -> usize {
-    4 * n * t * d_model
+/// Approximate flop count of one head's attention pass with `n` query rows
+/// over `t` positions: its two n×t×d_head matmuls dominate. Summed across
+/// heads it gates head-level parallelism — serving single short sequences
+/// through a small model must not pay a thread spawn per layer per request.
+fn attend_work(n: usize, t: usize, d_head: usize) -> usize {
+    4 * n * t * d_head
 }
 
 impl MultiHeadAttention {
@@ -169,8 +168,8 @@ impl MultiHeadAttention {
     /// head order, so the layout matches the sequential loop exactly.
     fn attend_heads(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> (Matrix, Vec<Matrix>) {
         let d_head = self.d_model / self.n_heads;
-        let work = attend_work(q.rows(), k.rows(), self.d_model);
-        let heads = pool::par_map_work(self.n_heads, work, |h| attend(q, k, v, h, d_head));
+        let costs = vec![attend_work(q.rows(), k.rows(), d_head); self.n_heads];
+        let heads = pool::par_map_work(&costs, || (), |_, h| attend(q, k, v, h, d_head));
         let mut concat = Matrix::zeros(q.rows(), self.d_model);
         let mut probs = Vec::with_capacity(self.n_heads);
         for (h, (oh, p)) in heads.into_iter().enumerate() {
@@ -190,8 +189,8 @@ impl MultiHeadAttention {
         let dconcat = self.wo.backward(dy);
         let (n, t) = (cache.q.rows(), cache.k.rows());
         // Backward roughly doubles the forward's per-head matmul work.
-        let work = 2 * attend_work(n, t, self.d_model);
-        let head_grads = pool::par_map_work(self.n_heads, work, |h| {
+        let costs = vec![2 * attend_work(n, t, d_head); self.n_heads];
+        let head_grad = |h: usize| {
             let doh = head_slice(&dconcat, h, d_head);
             let p = &cache.probs[h];
             let qh = head_slice(&cache.q, h, d_head);
@@ -213,7 +212,8 @@ impl MultiHeadAttention {
             }
             // dQh = dS · Kh ; dKh = dSᵀ · Qh
             (ds.matmul(&kh), ds.matmul_tn(&qh), dvh)
-        });
+        };
+        let head_grads = pool::par_map_work(&costs, || (), |_, h| head_grad(h));
         let mut dq = Matrix::zeros(n, self.d_model);
         let mut dk = Matrix::zeros(t, self.d_model);
         let mut dv = Matrix::zeros(t, self.d_model);

@@ -284,20 +284,20 @@ impl ShardSums {
 /// `visit_params` order.
 type GradSlots = Vec<Vec<f32>>;
 
-/// Forward/backward a shard of examples on private model replicas,
+/// A worker's private copy of the models one pre-training batch updates.
+type PretrainReplica = (Encoder, MlmHead, ClsHead);
+
+/// Forward/backward a shard of examples on a worker's model replica,
 /// returning accumulated gradients (in `visit_params` order) plus loss
-/// sums. Workers never touch the shared models, so shards run concurrently;
-/// the caller folds the results in fixed shard order, which makes the
-/// summed gradient bitwise identical for any thread count.
+/// sums. The replica's gradients are zeroed first, so a replica serves
+/// every shard its worker runs; workers never touch the shared models, so
+/// shards run concurrently. The caller folds the results in fixed shard
+/// order, which makes the summed gradient bitwise identical for any thread
+/// count.
 fn run_pretrain_shard(
-    encoder: &Encoder,
-    mlm_head: &MlmHead,
-    nfp_head: &ClsHead,
+    (enc, mlm, nfp): &mut PretrainReplica,
     items: &[BatchItem],
 ) -> (GradSlots, GradSlots, GradSlots, ShardSums) {
-    let mut enc = encoder.clone();
-    let mut mlm = mlm_head.clone();
-    let mut nfp = nfp_head.clone();
     enc.zero_grad();
     mlm.zero_grad();
     nfp.zero_grad();
@@ -391,30 +391,25 @@ impl Trainee for PretrainState<'_> {
             });
             items.push(BatchItem { mlm, nfp });
         }
-        // Stage 2 (parallel): forward/backward each fixed shard on model
-        // replicas. Shard boundaries depend only on the item count, never
-        // on the thread count. The dispatch is work-gated: a backward pass
-        // costs roughly twice the forward, and below the gate the
-        // per-batch spawn (plus per-shard model clone + gradient
+        // Stage 2 (parallel): forward/backward each fixed shard on a
+        // worker's model replica. Shard boundaries depend only on the item
+        // count, never on the thread count. The dispatch is work-gated: a
+        // backward pass costs roughly twice the forward, and below the gate
+        // the per-batch spawn (plus the replica clones and gradient
         // reduction) costs more than it saves, so small batches run inline.
-        let batch_work: usize = items
-            .iter()
-            .map(|it| {
-                let mlm_t = it.mlm.as_ref().map_or(0, |(ids, _)| ids.len());
-                let nfp_t = it.nfp.as_ref().map_or(0, |(ids, _)| ids.len());
-                3 * (self.encoder.inference_cost(mlm_t) + self.encoder.inference_cost(nfp_t))
-                    as usize
-            })
-            .sum();
+        let item_cost = |it: &BatchItem| {
+            let mlm_t = it.mlm.as_ref().map_or(0, |(ids, _)| ids.len());
+            let nfp_t = it.nfp.as_ref().map_or(0, |(ids, _)| ids.len());
+            3 * (self.encoder.inference_cost(mlm_t) + self.encoder.inference_cost(nfp_t)) as usize
+        };
         let shards = pool::shard_ranges(items.len(), pool::REDUCE_SHARDS);
-        let results = pool::par_map_work(shards.len(), batch_work, |s| {
-            run_pretrain_shard(
-                &self.encoder,
-                &self.mlm_head,
-                &self.nfp_head,
-                &items[shards[s].clone()],
-            )
-        });
+        let costs: Vec<usize> =
+            shards.iter().map(|r| items[r.clone()].iter().map(item_cost).sum()).collect();
+        let results = pool::par_map_work(
+            &costs,
+            || (self.encoder.clone(), self.mlm_head.clone(), self.nfp_head.clone()),
+            |replica, s| run_pretrain_shard(replica, &items[shards[s].clone()]),
+        );
         // Stage 3 (sequential): reduce gradients and loss partials in shard
         // order — a fixed-shape summation tree.
         let mut batch = ShardSums::default();
@@ -610,10 +605,9 @@ pub fn pretrain(
         .filter(|ids| ids.len() >= 3)
         .map(|ids| mask_sequence(&mut eval_rng, ids, vocab, config.mask_prob, false))
         .collect();
-    let eval_work: usize =
-        masked.iter().map(|(input, _)| st.encoder.inference_cost(input.len()) as usize).sum();
-    let counts = pool::par_map_work(masked.len(), eval_work, |i| {
-        let (input, targets) = &masked[i];
+    let costs: Vec<usize> =
+        masked.iter().map(|(input, _)| st.encoder.inference_cost(input.len()) as usize).collect();
+    let hits = |(input, targets): &(Vec<usize>, Vec<usize>)| {
         let (rows, targets) = masked_rows(targets);
         if rows.is_empty() {
             return (0, 0);
@@ -621,7 +615,8 @@ pub fn pretrain(
         let hidden = st.encoder.forward_inference(input, Readout::Rows(&rows));
         let preds = st.mlm_head.forward_inference(&hidden).argmax_rows();
         (targets.iter().zip(preds).filter(|&(&t, p)| p == t).count(), targets.len())
-    });
+    };
+    let counts = pool::par_map_work(&costs, || (), |_, i| hits(&masked[i]));
     let (correct, total_masked) =
         counts.into_iter().fold((0, 0), |(hit, n), (h, m)| (hit + h, n + m));
     stats.final_mlm_accuracy =

@@ -1,8 +1,9 @@
 //! Scoped worker pool with deterministic sharding.
 //!
 //! Built on `std::thread::scope` only — the build environment has no
-//! crates.io access, so rayon is unavailable. Three properties drive the
-//! design:
+//! crates.io access, so rayon is unavailable, and every crate forbids
+//! `unsafe`, so workers are spawned per dispatch rather than kept warm.
+//! Three properties drive the design:
 //!
 //! 1. **Fixed shard boundaries.** Work is split by pure functions of the
 //!    problem size ([`shard_ranges`], [`reduce_shards`]), never of the
@@ -18,6 +19,13 @@
 //!    shards) therefore composes safely with kernel-level parallelism
 //!    (matmul row shards).
 //!
+//! A dispatch over `n` workers spawns `n − 1` of them: the calling thread
+//! is the n-th, running the same loop under the same flag, which a drop
+//! guard restores even if a task panics. [`par_map_work`] deals its tasks
+//! costliest first so the longest ones start first, and hands each worker
+//! one state (a model replica, for the training loops) built on its first
+//! task.
+//!
 //! The thread count comes from the `NFM_THREADS` environment variable,
 //! falling back to [`std::thread::available_parallelism`]; tests override
 //! it in-process with [`set_threads`]. Whatever is requested, the count
@@ -29,6 +37,7 @@ use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 /// Hard cap on worker threads (a safety bound for absurd `NFM_THREADS`).
 pub const MAX_THREADS: usize = 64;
@@ -113,66 +122,122 @@ pub fn shard_ranges(len: usize, shards: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Time one task and record it in the `pool.task.wall_us` histogram (a
-/// wall-clock metric: rendered in tables, excluded from the deterministic
-/// JSONL snapshot).
-fn timed_task<R>(f: &(impl Fn(usize) -> R + Sync), i: usize) -> R {
-    let t0 = std::time::Instant::now();
-    let r = f(i);
-    nfm_obs::histogram!("pool.task.wall_us", nfm_obs::Unit::Micros, nfm_obs::WALL_EDGES)
-        .observe(t0.elapsed().as_micros() as u64);
-    r
+/// Sets the calling thread's `IN_WORKER` flag while it runs pool tasks and
+/// restores the previous value on drop, so a task that panics on the
+/// calling thread cannot leave the flag set.
+struct WorkerFlag(bool);
+
+impl WorkerFlag {
+    fn set() -> WorkerFlag {
+        WorkerFlag(IN_WORKER.with(|w| w.replace(true)))
+    }
 }
 
-/// Run `f(task_index)` for every task, returning results in task order.
-/// Tasks are handed to workers through an atomic counter, so scheduling is
-/// nondeterministic — callers must ensure tasks are independent (they get
-/// `&self`-style shared access only). The returned ordering is always by
-/// task index regardless of which worker ran what.
-pub fn par_map<R, F>(n_tasks: usize, f: F) -> Vec<R>
+impl Drop for WorkerFlag {
+    fn drop(&mut self) {
+        IN_WORKER.with(|w| w.set(self.0));
+    }
+}
+
+/// The one dispatch loop behind [`par_map`] and [`par_map_work`]. Every
+/// thread takes the next position of `order` from one atomic counter until
+/// none is left, building its state with `init` on its first task. With one
+/// thread the loop runs inline on the caller, flag untouched; otherwise
+/// `threads − 1` scoped workers join the calling thread, which runs the same
+/// loop under [`WorkerFlag`]. Each task's wall time goes to
+/// `pool.task.wall_us`, and a spawning dispatch records the capacity its
+/// threads spent outside tasks (threads × wall − task time: spawns, `init`,
+/// the tail wait) in `pool.dispatch.idle_us`; both are wall-clock metrics,
+/// rendered in tables and kept out of the JSONL. Results come back in task
+/// order whoever ran them.
+fn dispatch<S, R, I, F>(threads: usize, order: &[usize], init: I, f: F) -> Vec<R>
 where
     R: Send,
-    F: Fn(usize) -> R + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> R + Sync,
 {
-    let threads = effective_threads().min(n_tasks);
+    let task_wall =
+        nfm_obs::histogram!("pool.task.wall_us", nfm_obs::Unit::Micros, nfm_obs::WALL_EDGES);
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut state = None;
+        let mut done = Vec::new();
+        let mut busy = Duration::ZERO;
+        while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let state = state.get_or_insert_with(&init);
+            let t0 = Instant::now();
+            done.push((i, f(state, i)));
+            let took = t0.elapsed();
+            task_wall.observe(took.as_micros() as u64);
+            busy += took;
+        }
+        (done, busy)
+    };
+    let shares: Vec<(Vec<(usize, R)>, Duration)> = if threads <= 1 {
+        vec![work()]
+    } else {
+        let t0 = Instant::now();
+        let shares: Vec<_> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (1..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let _flag = WorkerFlag::set();
+                        work()
+                    })
+                })
+                .collect();
+            let mine = {
+                let _flag = WorkerFlag::set();
+                work()
+            };
+            std::iter::once(mine)
+                .chain(workers.into_iter().map(|w| w.join().expect("pool worker panicked")))
+                .collect()
+        });
+        let busy: Duration = shares.iter().map(|(_, busy)| *busy).sum();
+        let capacity = t0.elapsed() * threads as u32;
+        nfm_obs::histogram!("pool.dispatch.idle_us", nfm_obs::Unit::Micros, nfm_obs::WALL_EDGES)
+            .observe(capacity.saturating_sub(busy).as_micros() as u64);
+        shares
+    };
+    let mut slots: Vec<Option<R>> = (0..order.len()).map(|_| None).collect();
+    for (i, r) in shares.into_iter().flat_map(|(done, _)| done) {
+        slots[i] = Some(r);
+    }
+    slots.into_iter().map(|s| s.expect("pool task not executed")).collect()
+}
+
+/// Count a dispatch in the `pool.*` metrics and run it on every effective
+/// worker, the calling thread included.
+fn fan_out<S, R, I, F>(order: &[usize], init: I, f: F) -> Vec<R>
+where
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> R + Sync,
+{
+    let threads = effective_threads().min(order.len());
     nfm_obs::counter!("pool.par_map.calls").inc();
-    nfm_obs::counter!("pool.par_map.tasks").add(n_tasks as u64);
+    nfm_obs::counter!("pool.par_map.tasks").add(order.len() as u64);
     // Gauge writes are last-write-wins; restricting them to the main thread
     // keeps the final snapshot value deterministic (workers would race).
     if !IN_WORKER.with(Cell::get) {
         nfm_obs::gauge!("pool.threads.effective").set(threads.max(1) as f64);
     }
-    if threads <= 1 {
-        let f = &f;
-        return (0..n_tasks).map(|i| timed_task(f, i)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let f = &f;
-    let next = &next;
-    let mut slots: Vec<Option<R>> = (0..n_tasks).map(|_| None).collect();
-    let collected: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    IN_WORKER.with(|w| w.set(true));
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n_tasks {
-                            break;
-                        }
-                        local.push((i, timed_task(f, i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("pool worker panicked")).collect()
-    });
-    for (i, r) in collected.into_iter().flatten() {
-        slots[i] = Some(r);
-    }
-    slots.into_iter().map(|s| s.expect("pool task not executed")).collect()
+    dispatch(threads, order, init, f)
+}
+
+/// Run `f(task_index)` for every task, returning results in task order.
+/// Tasks are handed out in index order through an atomic counter, so
+/// scheduling is nondeterministic — callers must ensure tasks are
+/// independent (they get `&self`-style shared access only). The returned
+/// ordering is always by task index regardless of which thread ran what.
+pub fn par_map<R, F>(n_tasks: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let order: Vec<usize> = (0..n_tasks).collect();
+    fan_out(&order, || (), |_, i| f(i))
 }
 
 /// Minimum total work (in flop-like units) before [`par_map_work`] spawns
@@ -182,23 +247,40 @@ where
 /// is strictly faster for small jobs like single-request inference.
 pub const PAR_WORK_MIN: usize = 1 << 20;
 
-/// [`par_map`] with a work gate: runs sequentially inline when
-/// `total_work < ` [`PAR_WORK_MIN`], spawning workers only when the job is
-/// big enough to amortise thread startup. `total_work` is the caller's
-/// estimate of the whole call's cost in flop-like units. Results are
-/// bitwise identical on either path — tasks are independent and returned
-/// in task order — so the gate is a performance decision, never a
-/// correctness one.
-pub fn par_map_work<R, F>(n_tasks: usize, total_work: usize, f: F) -> Vec<R>
+/// The order [`par_map_work`] deals tasks in: costliest first, ties by
+/// index, so the longest tasks start first and the short ones fill the
+/// tail.
+fn costliest_first(costs: &[usize]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(costs[i]));
+    order
+}
+
+/// Run `f(state, task_index)` for task `i` of cost `costs[i]`, returning
+/// results in task order. Each thread that runs a task, the caller
+/// included, builds one `state` with `init` on its first task and hands it
+/// to every task it runs — a model replica, say, that each task resets
+/// before use. Tasks must not depend on what an earlier task left in the
+/// state, since which tasks share one is nondeterministic.
+///
+/// The costs are the caller's estimates in flop-like units. Below a total
+/// of [`PAR_WORK_MIN`] (or with one effective worker) the tasks run inline
+/// in index order on one state, spawning nothing; above it they go out
+/// costliest first, ties by index. Results are bitwise identical on either
+/// path, so the gate and the order are performance decisions, never
+/// correctness ones.
+pub fn par_map_work<S, R, I, F>(costs: &[usize], init: I, f: F) -> Vec<R>
 where
     R: Send,
-    F: Fn(usize) -> R + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> R + Sync,
 {
-    if total_work < PAR_WORK_MIN || effective_threads() <= 1 {
-        let f = &f;
-        return (0..n_tasks).map(|i| timed_task(f, i)).collect();
+    let total = costs.iter().fold(0usize, |sum, &c| sum.saturating_add(c));
+    if total < PAR_WORK_MIN || effective_threads() <= 1 {
+        let order: Vec<usize> = (0..costs.len()).collect();
+        return dispatch(1, &order, init, f);
     }
-    par_map(n_tasks, f)
+    fan_out(&costliest_first(costs), init, f)
 }
 
 /// Split `data` into chunks of `chunk_len` elements and run
@@ -221,21 +303,25 @@ where
         return;
     }
     // Strided assignment: worker w owns chunks w, w+threads, … — fixed
-    // chunk boundaries, so results never depend on the assignment.
+    // chunk boundaries, so results never depend on the assignment. The
+    // calling thread is worker 0.
     let mut per_worker: Vec<Vec<(usize, &mut [T])>> = (0..threads).map(|_| Vec::new()).collect();
     for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
         per_worker[i % threads].push((i * chunk_len, chunk));
     }
-    let f = &f;
+    let run = &|assigned: Vec<(usize, &mut [T])>| {
+        let _flag = WorkerFlag::set();
+        for (offset, chunk) in assigned {
+            f(offset, chunk);
+        }
+    };
+    let mut per_worker = per_worker.into_iter();
+    let mine = per_worker.next().expect("a spawning call has at least two workers");
     std::thread::scope(|scope| {
         for assigned in per_worker {
-            scope.spawn(move || {
-                IN_WORKER.with(|w| w.set(true));
-                for (offset, chunk) in assigned {
-                    f(offset, chunk);
-                }
-            });
+            scope.spawn(move || run(assigned));
         }
+        run(mine);
     });
 }
 
@@ -252,7 +338,8 @@ where
     C: Fn(R, R) -> R,
 {
     let ranges = shard_ranges(len, REDUCE_SHARDS);
-    let partials = par_map_work(ranges.len(), len, |i| partial(ranges[i].clone()));
+    let costs: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
+    let partials = par_map_work(&costs, || (), |_, i| partial(ranges[i].clone()));
     partials.into_iter().fold(init, combine)
 }
 
@@ -361,12 +448,140 @@ mod tests {
     #[test]
     fn par_map_work_gates_small_jobs_and_matches_par_map() {
         set_threads(4);
-        let small = par_map_work(8, 100, |i| i * 7);
-        let big = par_map_work(8, PAR_WORK_MIN * 2, |i| i * 7);
+        let small = par_map_work(&[12; 8], || (), |_, i| i * 7);
+        let big = par_map_work(&[PAR_WORK_MIN / 4; 8], || (), |_, i| i * 7);
         set_threads(0);
         let expect: Vec<usize> = (0..8).map(|i| i * 7).collect();
         assert_eq!(small, expect, "sequential path below the gate");
         assert_eq!(big, expect, "parallel path above the gate");
+    }
+
+    #[test]
+    fn tasks_are_dealt_costliest_first_ties_by_index() {
+        assert_eq!(costliest_first(&[3, 7, 7, 1, 9, 3]), vec![4, 1, 2, 0, 5, 3]);
+        assert_eq!(costliest_first(&[5; 4]), vec![0, 1, 2, 3]);
+        assert_eq!(costliest_first(&[]), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn par_map_work_matches_the_sequential_map_for_random_costs() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        for _ in 0..40 {
+            let n = rng.gen_range(0..24);
+            // Up to a third of the gate per task: some calls run inline,
+            // most fan out.
+            let costs: Vec<usize> = (0..n).map(|_| rng.gen_range(0..PAR_WORK_MIN / 3)).collect();
+            let expect: Vec<usize> = (0..n).map(|i| i * 31 + costs[i]).collect();
+            for threads in [1, 4] {
+                set_threads(threads);
+                let got = par_map_work(&costs, || (), |_, i| i * 31 + costs[i]);
+                assert_eq!(got, expect, "costs {costs:?} at {threads} threads");
+            }
+        }
+        set_threads(0);
+    }
+
+    #[test]
+    fn init_runs_once_inline_and_at_most_once_per_worker() {
+        use std::sync::Mutex;
+        let inits = AtomicUsize::new(0);
+        set_threads(4);
+        let inline = par_map_work(
+            &[1; 8],
+            || inits.fetch_add(1, Ordering::SeqCst),
+            |state, i| {
+                *state += 1;
+                i
+            },
+        );
+        assert_eq!(inline, (0..8).collect::<Vec<_>>());
+        assert_eq!(inits.load(Ordering::SeqCst), 1, "the inline path builds one state");
+
+        // Each state remembers the thread that built it; every task must
+        // see its own thread's state, and no thread builds two.
+        let built = Mutex::new(Vec::new());
+        let ran = par_map_work(
+            &[PAR_WORK_MIN; 16],
+            || {
+                let me = std::thread::current().id();
+                built.lock().expect("no test thread panics holding the lock").push(me);
+                me
+            },
+            |state, _| {
+                assert_eq!(*state, std::thread::current().id(), "a state crossed threads");
+                *state
+            },
+        );
+        set_threads(0);
+        let built = built.into_inner().expect("no test thread panics holding the lock");
+        let ran_on: std::collections::HashSet<_> = ran.into_iter().collect();
+        assert_eq!(built.len(), ran_on.len(), "one init per thread that ran a task: {built:?}");
+    }
+
+    #[test]
+    fn the_calling_thread_runs_a_task() {
+        if hw_threads() < 2 {
+            return;
+        }
+        set_threads(2);
+        let caller = std::thread::current().id();
+        let idle = nfm_obs::global().histogram(
+            "pool.dispatch.idle_us",
+            nfm_obs::Unit::Micros,
+            nfm_obs::WALL_EDGES,
+        );
+        let idle_before = idle.count();
+        let started = AtomicUsize::new(0);
+        let ran_on = par_map_work(
+            &[PAR_WORK_MIN; 2],
+            || (),
+            |_, _| {
+                // Each task waits for the other to start, so they run on two
+                // threads: with two workers, one of them is the caller. The
+                // timeout keeps a concurrent `set_threads(1)` from hanging the
+                // inline path.
+                started.fetch_add(1, Ordering::SeqCst);
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while started.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                std::thread::current().id()
+            },
+        );
+        set_threads(0);
+        assert!(ran_on.contains(&caller), "no task ran on the calling thread: {ran_on:?}");
+        if ran_on[0] != ran_on[1] {
+            assert!(idle.count() > idle_before, "a spawning dispatch records its idle time");
+        }
+
+        // par_chunks_mut gives the caller the first chunk.
+        set_threads(2);
+        let mut chunks = [None, None];
+        par_chunks_mut(&mut chunks, 1, |_, c| c[0] = Some(std::thread::current().id()));
+        set_threads(0);
+        assert_eq!(chunks[0], Some(caller), "the caller did not run chunk 0");
+    }
+
+    #[test]
+    fn a_task_panicking_on_the_caller_leaves_effective_threads_as_it_was() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let in_worker = || IN_WORKER.with(Cell::get);
+        assert!(!in_worker());
+        set_threads(2);
+        // Every task panics; a worker stops at its first, so the caller
+        // runs one whether or not a worker spawned.
+        let mapped = catch_unwind(|| {
+            par_map_work(&[PAR_WORK_MIN; 2], || (), |_, _| -> usize { panic!("task fails") })
+        });
+        let mut data = [0u8; 2];
+        let chunked = catch_unwind(AssertUnwindSafe(|| {
+            par_chunks_mut(&mut data, 1, |_, _| panic!("chunk fails"));
+        }));
+        set_threads(0);
+        assert!(mapped.is_err() && chunked.is_err(), "the panics must propagate");
+        // effective_threads() reads 1 while the flag is set.
+        assert!(!in_worker(), "a panicking task left the caller marked as a worker");
     }
 
     #[test]
