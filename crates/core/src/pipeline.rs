@@ -350,36 +350,44 @@ fn unpool(dpooled: Matrix, rows: usize, pooling: Pooling) -> Matrix {
     }
 }
 
-/// Forward/backward a shard of fine-tuning examples on a worker's replica
-/// of the encoder and head, returning accumulated gradients (in
-/// `visit_params` order; encoder grads are empty when the encoder is
-/// frozen) and the shard's loss sum. The replica's gradients are zeroed
-/// first, so a replica serves every shard its worker runs. The caller
-/// reduces shards in fixed order, so the summed gradient is bitwise
-/// identical at every thread count.
+/// Forward/backward a shard of fine-tuning examples on a worker's replica,
+/// returning accumulated gradients (in `visit_params` order; encoder grads
+/// are empty when the encoder is frozen) and the shard's loss sum. A
+/// replica holds its own encoder only when the encoder trains; a frozen
+/// one (`None`) runs the inference forward of the one `shared` encoder,
+/// which computes the training forward's bits without caching for a
+/// backward that never runs. The replica's gradients are zeroed first, so
+/// a replica serves every shard its worker runs. The caller reduces shards
+/// in fixed order, so the summed gradient is bitwise identical at every
+/// thread count.
 fn run_fine_tune_shard(
-    (enc, hd): &mut (Encoder, ClsHead),
+    (enc, hd): &mut (Option<Encoder>, ClsHead),
+    shared: &Encoder,
     idxs: &[usize],
     encoded: &[(Vec<usize>, usize)],
     pooling: Pooling,
-    freeze_encoder: bool,
 ) -> (Vec<Vec<f32>>, Vec<Vec<f32>>, f32) {
-    enc.zero_grad();
+    if let Some(enc) = enc.as_mut() {
+        enc.zero_grad();
+    }
     hd.zero_grad();
     let mut loss_sum = 0.0f32;
     for &idx in idxs {
         let (ids, label) = &encoded[idx];
-        let hidden = enc.forward(ids, pooling.readout());
+        let hidden = match enc.as_mut() {
+            Some(enc) => enc.forward(ids, pooling.readout()),
+            None => shared.forward_inference(ids, pooling.readout()),
+        };
         let rows = hidden.rows();
         let logits = hd.forward(&pool(hidden, pooling));
         let (loss, dlogits) = softmax_cross_entropy(&logits, &[*label]);
         loss_sum += loss;
         let dpooled = hd.backward(&dlogits);
-        if !freeze_encoder {
+        if let Some(enc) = enc.as_mut() {
             enc.backward(&unpool(dpooled, rows, pooling));
         }
     }
-    let enc_grads = if freeze_encoder { Vec::new() } else { enc.export_grads() };
+    let enc_grads = enc.as_mut().map_or_else(Vec::new, |enc| enc.export_grads());
     (enc_grads, hd.export_grads(), loss_sum)
 }
 
@@ -403,13 +411,16 @@ struct FineTuneState<'a> {
 impl Trainee for FineTuneState<'_> {
     fn batch(&mut self, idxs: &[usize], _rng: &mut StdRng, _step: u64) -> (f32, f32) {
         let freeze_encoder = self.config.freeze_encoder;
-        self.encoder.zero_grad();
+        if !freeze_encoder {
+            self.encoder.zero_grad();
+        }
         self.head.zero_grad();
         // Fixed microbatch shards (boundaries depend only on the batch
-        // length) run in parallel on one replica per worker; the reduction
-        // below folds them in shard order. Work-gated: forward+backward ≈ 3×
-        // the inference MACs, and below the gate the spawn + replica-clone +
-        // grad-reduce overhead beats any parallel win.
+        // length) run in parallel on one replica per worker (the head alone
+        // when the encoder is frozen); the reduction below folds them in
+        // shard order. Work-gated: forward+backward ≈ 3× the inference MACs,
+        // and below the gate the spawn + replica-clone + grad-reduce overhead
+        // beats any parallel win.
         let example_cost =
             |&idx: &usize| 3 * self.encoder.inference_cost(self.encoded[idx].0.len()) as usize;
         let shards = tpool::shard_ranges(idxs.len(), tpool::REDUCE_SHARDS);
@@ -417,10 +428,10 @@ impl Trainee for FineTuneState<'_> {
             shards.iter().map(|r| idxs[r.clone()].iter().map(example_cost).sum()).collect();
         let results = tpool::par_map_work(
             &costs,
-            || (self.encoder.clone(), self.head.clone()),
+            || ((!freeze_encoder).then(|| self.encoder.clone()), self.head.clone()),
             |replica, s| {
                 let shard = &idxs[shards[s].clone()];
-                run_fine_tune_shard(replica, shard, self.encoded, self.pooling, freeze_encoder)
+                run_fine_tune_shard(replica, &self.encoder, shard, self.encoded, self.pooling)
             },
         );
         let mut batch_loss = 0.0f32;

@@ -15,23 +15,23 @@ pub const IGNORE_INDEX: usize = usize::MAX;
 pub fn softmax_cross_entropy(logits: &Matrix, targets: &[usize]) -> (f32, Matrix) {
     assert_eq!(logits.rows(), targets.len());
     let classes = logits.cols();
-    let mut probs = logits.clone();
-    probs.softmax_rows();
-    let mut dlogits = Matrix::zeros(logits.rows(), classes);
+    // Each row's gradient is its probability row with one taken from the
+    // target's entry, so the softmax is computed in place and an ignored
+    // row is zeroed.
+    let mut dlogits = logits.clone();
+    dlogits.softmax_rows();
     let mut loss = 0.0f64;
     let mut n = 0usize;
     for (r, &t) in targets.iter().enumerate() {
+        let row = dlogits.row_mut(r);
         if t == IGNORE_INDEX {
+            row.fill(0.0);
             continue;
         }
         assert!(t < classes, "target {t} out of range {classes}");
         n += 1;
-        let p = probs.get(r, t).max(1e-12);
-        loss += -(p as f64).ln();
-        for c in 0..classes {
-            let grad = probs.get(r, c) - if c == t { 1.0 } else { 0.0 };
-            dlogits.set(r, c, grad);
-        }
+        loss += -(row[t].max(1e-12) as f64).ln();
+        row[t] -= 1.0;
     }
     if n == 0 {
         return (0.0, dlogits);
@@ -109,6 +109,35 @@ mod tests {
                 grad.get(r, c)
             );
         }
+    }
+
+    #[test]
+    fn gradient_matches_the_per_element_form_bitwise() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let logits = crate::init::normal(&mut rng, 6, 13, 3.0);
+        let targets = [4, IGNORE_INDEX, 0, 12, IGNORE_INDEX, 7];
+        // The gradient as `get`/`set` per element: probability minus the
+        // one-hot target, ignored rows left at zero, then the mean scale.
+        let mut probs = logits.clone();
+        probs.softmax_rows();
+        let mut want = Matrix::zeros(6, 13);
+        for (r, &t) in targets.iter().enumerate() {
+            if t == IGNORE_INDEX {
+                continue;
+            }
+            for c in 0..13 {
+                want.set(r, c, probs.get(r, c) - if c == t { 1.0 } else { 0.0 });
+            }
+        }
+        want.scale(1.0 / 4.0);
+        let (_, got) = softmax_cross_entropy(&logits, &targets);
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+        assert!(
+            got.row(1).iter().chain(got.row(4)).all(|v| v.to_bits() == 0),
+            "ignored rows are +0.0"
+        );
     }
 
     #[test]

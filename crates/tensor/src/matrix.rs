@@ -214,6 +214,14 @@ fn matmul_tn_rows(
     }
 }
 
+/// `dot`'s ending: the eight lanes meet in a fixed tree, then the tail.
+#[inline(always)]
+fn reduce_lanes(lanes: &[f32; 8], tail: f32) -> f32 {
+    let s04_15 = (lanes[0] + lanes[4]) + (lanes[1] + lanes[5]);
+    let s26_37 = (lanes[2] + lanes[6]) + (lanes[3] + lanes[7]);
+    (s04_15 + s26_37) + tail
+}
+
 /// Eight-lane dot product with a fixed reduction tree; deterministic and
 /// autovectorizable (the lanes remove the serial dependence that blocks
 /// LLVM from vectorizing a plain f32 accumulator).
@@ -231,22 +239,58 @@ fn dot(a: &[f32], b: &[f32]) -> f32 {
     for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
         tail += x * y;
     }
-    let s04_15 = (lanes[0] + lanes[4]) + (lanes[1] + lanes[5]);
-    let s26_37 = (lanes[2] + lanes[6]) + (lanes[3] + lanes[7]);
-    (s04_15 + s26_37) + tail
+    reduce_lanes(&lanes, tail)
 }
 
-/// `out[r][j] = dot(a[row0+r], b[j])` for the chunk's rows (a·bᵀ).
+/// The two `dot`s of rows `a0` and `a1` with row `b`. Each eight-wide chunk
+/// of `b` is loaded once and feeds both sums; each sum keeps `dot`'s own
+/// lanes, tail and reduction tree, so it has `dot`'s bits.
+#[inline]
+fn dot_2x1(a0: &[f32], a1: &[f32], b: &[f32]) -> [f32; 2] {
+    let ((ca0, ta0), (ca1, ta1)) = (a0.as_chunks::<8>(), a1.as_chunks::<8>());
+    let (cb, tb) = b.as_chunks::<8>();
+    let mut lanes = [[0.0f32; 8]; 2];
+    for ((x0, x1), y) in ca0.iter().zip(ca1).zip(cb) {
+        for l in 0..8 {
+            lanes[0][l] += x0[l] * y[l];
+            lanes[1][l] += x1[l] * y[l];
+        }
+    }
+    let mut tail = [0.0f32; 2];
+    for ((&x0, &x1), &y) in ta0.iter().zip(ta1).zip(tb) {
+        tail[0] += x0 * y;
+        tail[1] += x1 * y;
+    }
+    [reduce_lanes(&lanes[0], tail[0]), reduce_lanes(&lanes[1], tail[1])]
+}
+
+/// `out[r][j] = dot(a[row0+r], b[j])` for the chunk's rows (a·bᵀ), two rows
+/// at a time ([`dot_2x1`], so each row of `b` is read once per row pair),
+/// with `dot` for an odd last row. Every element has `dot`'s bits whichever
+/// computes it. A 2×2 tile (two rows of `b` as well) and a 1×2 tile ran at
+/// about half of `dot`'s speed at k = 32–401: LLVM vectorises their sums
+/// across outputs instead of across lanes, with shuffles and spills.
 fn matmul_nt_rows(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, k: usize, n: usize) {
     if n == 0 {
         return;
     }
-    let rows = out.len() / n;
-    for r in 0..rows {
-        let a_row = &a[(row0 + r) * k..][..k];
-        let o_row = &mut out[r * n..][..n];
-        for (j, o) in o_row.iter_mut().enumerate() {
-            *o = dot(a_row, &b[j * k..][..k]);
+    // The row left over after the pairs, when the row count is odd.
+    let odd_row = (out.len() / n) & !1;
+    let a_row = |r: usize| &a[(row0 + r) * k..][..k];
+    let b_row = |j: usize| &b[j * k..][..k];
+    let mut pairs = out.chunks_exact_mut(2 * n);
+    for (r2, o_pair) in pairs.by_ref().enumerate() {
+        let (o0, o1) = o_pair.split_at_mut(n);
+        let (a0, a1) = (a_row(2 * r2), a_row(2 * r2 + 1));
+        for (j, (d0, d1)) in o0.iter_mut().zip(o1).enumerate() {
+            [*d0, *d1] = dot_2x1(a0, a1, b_row(j));
+        }
+    }
+    let last = pairs.into_remainder();
+    if !last.is_empty() {
+        let a_last = a_row(odd_row);
+        for (j, o) in last.iter_mut().enumerate() {
+            *o = dot(a_last, b_row(j));
         }
     }
 }
@@ -418,9 +462,11 @@ impl Matrix {
     /// heads of eight dimensions), with at least `NT_ONE_CHUNK_ROWS_MIN`
     /// rows, `other` is first copied to its `8 × n` transpose, so a row's
     /// columns run four to a vector register instead of each paying `dot`'s
-    /// horizontal reduction. Otherwise each element is its own `dot`: column
-    /// kernels measured slower for several chunks, and the copy costs more
-    /// than it saves on fewer rows.
+    /// horizontal reduction. Otherwise each element is its own `dot`, two
+    /// rows of `self` at a time against each row of `other` (the backward
+    /// input gradient `dy · Wᵀ` of every `Linear`): column kernels measured
+    /// slower for several chunks, and the copy costs more than it saves on
+    /// fewer rows.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_nt inner dims");
         let (m, k, n) = (self.rows, self.cols, other.rows);
@@ -819,7 +865,11 @@ mod tests {
         // more: (26, 6, 26) is `dot`'s tail alone, as in the golden
         // digests' heads; (7, 8, 1), (5, 8, 3) and (9, 8, 6) have fewer
         // than four columns or a column remainder; (3, 8, 26) has one row
-        // too few; (26, 9, 26) and (6, 16, 5) sit just past k = 8.
+        // too few; (26, 9, 26) and (6, 16, 5) sit just past k = 8. Every
+        // other matmul_nt shape runs `dot`s two rows at a time, with `dot`
+        // alone for an odd last row; the last eight give it one to three
+        // rows, odd rows and columns, a single column, and k of 16, 24, 64
+        // and 401 (a one-element tail).
         let shapes = [
             (1, 1, 1),
             (5, 3, 9),
@@ -839,6 +889,14 @@ mod tests {
             (3, 8, 26),
             (26, 9, 26),
             (6, 16, 5),
+            (1, 16, 7),
+            (2, 24, 5),
+            (3, 64, 9),
+            (2, 64, 1),
+            (3, 401, 33),
+            (1, 401, 2),
+            (7, 24, 13),
+            (9, 401, 64),
         ];
         assert!(shapes.iter().any(|&(m_, k_, n_)| m_ * k_ * n_ >= PAR_FLOPS_MIN));
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);

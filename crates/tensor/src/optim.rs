@@ -3,7 +3,10 @@
 //!
 //! Optimizers address parameters through [`Module::visit_params`]; per-slot
 //! state (momentum, Adam moments) is allocated lazily and aligned by visit
-//! order, which every layer keeps stable.
+//! order, which every layer keeps stable. Each update walks a slot's
+//! parameter, gradient and state slices zipped, so the per-element loop
+//! carries no bounds checks and vectorises; every element keeps the plain
+//! scalar expression, so the bits are the indexed loop's.
 
 use crate::layers::Module;
 use crate::pool;
@@ -95,10 +98,13 @@ impl Sgd {
                 velocity.push(vec![0.0; p.len()]);
             }
             let v = &mut velocity[slot];
-            assert_eq!(v.len(), p.len(), "parameter shapes changed between steps");
-            for i in 0..p.len() {
-                v[i] = momentum * v[i] + g[i];
-                p[i] -= lr * v[i];
+            assert!(
+                v.len() == p.len() && g.len() == p.len(),
+                "parameter shapes changed between steps"
+            );
+            for ((p, &g), v) in p.iter_mut().zip(g.iter()).zip(v.iter_mut()) {
+                *v = momentum * *v + g;
+                *p -= lr * *v;
             }
             slot += 1;
         });
@@ -108,6 +114,13 @@ impl Sgd {
     pub fn steps(&self) -> usize {
         self.t
     }
+}
+
+/// Adam's bias correction `1 − bᵗ` after `t` steps. Its bits are the host
+/// libm's `powf`; a test pins them for the default betas over the first
+/// 100,000 steps.
+fn bias_correction(b: f32, t: usize) -> f32 {
+    1.0 - b.powf(t as f32)
 }
 
 /// Adam optimizer (Kingma & Ba) with bias correction.
@@ -172,10 +185,8 @@ impl Adam {
     pub fn step(&mut self, model: &mut dyn Module) {
         let lr = self.schedule.lr(self.t) * self.lr_scale;
         self.t += 1;
-        let t = self.t as f32;
         let (b1, b2, eps, wd) = (self.beta1, self.beta2, self.eps, self.weight_decay);
-        let bc1 = 1.0 - b1.powf(t);
-        let bc2 = 1.0 - b2.powf(t);
+        let (bc1, bc2) = (bias_correction(b1, self.t), bias_correction(b2, self.t));
         let mut slot = 0;
         let (ms, vs) = (&mut self.m, &mut self.v);
         model.visit_params(&mut |p, g| {
@@ -183,15 +194,18 @@ impl Adam {
                 ms.push(vec![0.0; p.len()]);
                 vs.push(vec![0.0; p.len()]);
             }
-            let m = &mut ms[slot];
-            let v = &mut vs[slot];
-            assert_eq!(m.len(), p.len(), "parameter shapes changed between steps");
-            for i in 0..p.len() {
-                m[i] = b1 * m[i] + (1.0 - b1) * g[i];
-                v[i] = b2 * v[i] + (1.0 - b2) * g[i] * g[i];
-                let mhat = m[i] / bc1;
-                let vhat = v[i] / bc2;
-                p[i] -= lr * (mhat / (vhat.sqrt() + eps) + wd * p[i]);
+            let (m, v) = (&mut ms[slot], &mut vs[slot]);
+            assert!(
+                m.len() == p.len() && v.len() == p.len() && g.len() == p.len(),
+                "parameter shapes changed between steps"
+            );
+            let elems = p.iter_mut().zip(g.iter()).zip(m.iter_mut().zip(v.iter_mut()));
+            for ((p, &g), (m, v)) in elems {
+                *m = b1 * *m + (1.0 - b1) * g;
+                *v = b2 * *v + (1.0 - b2) * g * g;
+                let mhat = *m / bc1;
+                let vhat = *v / bc2;
+                *p -= lr * (mhat / (vhat.sqrt() + eps) + wd * *p);
             }
             slot += 1;
         });
@@ -294,6 +308,125 @@ mod tests {
         layer.zero_grad();
         let pre = clip_global_norm(&mut layer, 10.0);
         assert_eq!(pre, 0.0);
+    }
+
+    /// A module of bare `(param, grad)` slots, so a test sets every
+    /// gradient directly.
+    struct Slots(Vec<(Vec<f32>, Vec<f32>)>);
+
+    impl Module for Slots {
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+            for (p, g) in &mut self.0 {
+                f(p, g);
+            }
+        }
+    }
+
+    /// Three slots of odd and vector-multiple lengths with random weights.
+    fn random_slots(rng: &mut StdRng) -> Slots {
+        let slot = |rng: &mut StdRng, len| {
+            (crate::init::normal(rng, 1, len, 1.0).into_data(), vec![0.0; len])
+        };
+        Slots(vec![slot(rng, 37), slot(rng, 64), slot(rng, 5)])
+    }
+
+    /// Fresh random gradients, with exact zeros and large values mixed in.
+    fn set_random_grads(rng: &mut StdRng, slots: &mut Slots) {
+        for (_, g) in &mut slots.0 {
+            let fresh = crate::init::normal(rng, 1, g.len(), 1.0);
+            for (i, (g, &x)) in g.iter_mut().zip(fresh.data()).enumerate() {
+                *g = match i % 7 {
+                    0 => 0.0,
+                    3 => x * 1e4,
+                    _ => x,
+                };
+            }
+        }
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn adam_matches_the_plain_per_element_loop_bitwise() {
+        let mut rng = StdRng::seed_from_u64(15);
+        let mut model = random_slots(&mut rng);
+        let mut want: Vec<Vec<f32>> = model.0.iter().map(|(p, _)| p.clone()).collect();
+        let mut m: Vec<Vec<f32>> = want.iter().map(|p| vec![0.0; p.len()]).collect();
+        let mut v = m.clone();
+        let schedule = Schedule::WarmupLinear { peak: 0.01, warmup: 3, total: 12 };
+        let mut adam = Adam::new(schedule);
+        adam.weight_decay = 0.01;
+        adam.set_lr_scale(0.5);
+        let (b1, b2, eps, wd) = (adam.beta1, adam.beta2, adam.eps, adam.weight_decay);
+        for step in 0..10 {
+            set_random_grads(&mut rng, &mut model);
+            adam.step(&mut model);
+            let lr = schedule.lr(step) * 0.5;
+            let t = (step + 1) as f32;
+            let (bc1, bc2) = (1.0 - b1.powf(t), 1.0 - b2.powf(t));
+            for (s, (_, g)) in model.0.iter().enumerate() {
+                let (p, m, v) = (&mut want[s], &mut m[s], &mut v[s]);
+                for i in 0..p.len() {
+                    m[i] = b1 * m[i] + (1.0 - b1) * g[i];
+                    v[i] = b2 * v[i] + (1.0 - b2) * g[i] * g[i];
+                    let mhat = m[i] / bc1;
+                    let vhat = v[i] / bc2;
+                    p[i] -= lr * (mhat / (vhat.sqrt() + eps) + wd * p[i]);
+                }
+            }
+            let (steps, got_m, got_v) = adam.state();
+            assert_eq!(steps, step + 1);
+            for (s, (p, _)) in model.0.iter().enumerate() {
+                assert_eq!(bits(p), bits(&want[s]), "params, slot {s}, step {step}");
+                assert_eq!(bits(&got_m[s]), bits(&m[s]), "first moment, slot {s}, step {step}");
+                assert_eq!(bits(&got_v[s]), bits(&v[s]), "second moment, slot {s}, step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn sgd_matches_the_plain_per_element_loop_bitwise() {
+        let mut rng = StdRng::seed_from_u64(16);
+        let mut model = random_slots(&mut rng);
+        let mut want: Vec<Vec<f32>> = model.0.iter().map(|(p, _)| p.clone()).collect();
+        let mut velocity: Vec<Vec<f32>> = want.iter().map(|p| vec![0.0; p.len()]).collect();
+        let schedule = Schedule::WarmupLinear { peak: 0.05, warmup: 3, total: 12 };
+        let mut sgd = Sgd::new(schedule, 0.9);
+        for step in 0..10 {
+            set_random_grads(&mut rng, &mut model);
+            sgd.step(&mut model);
+            let lr = schedule.lr(step);
+            for (s, (_, g)) in model.0.iter().enumerate() {
+                let (p, v) = (&mut want[s], &mut velocity[s]);
+                for i in 0..p.len() {
+                    v[i] = sgd.momentum * v[i] + g[i];
+                    p[i] -= lr * v[i];
+                }
+            }
+            for (s, (p, _)) in model.0.iter().enumerate() {
+                assert_eq!(bits(p), bits(&want[s]), "params, slot {s}, step {step}");
+            }
+        }
+    }
+
+    /// FNV-1a over the bits of Adam's bias corrections for steps `1..=n`.
+    fn bias_correction_digest(b: f32, n: usize) -> u64 {
+        (1..=n).fold(0xcbf2_9ce4_8422_2325, |h, t| {
+            let bits = bias_correction(b, t).to_bits();
+            (h ^ u64::from(bits)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// `powf` is the one libm call in the optimizer step, and glibc picks
+    /// an FMA or a non-FMA build of it by host. These digests pin its bits
+    /// for both default betas over the first 100,000 steps, far past the
+    /// longest training run; CI runs this test under both builds.
+    #[test]
+    fn adam_bias_corrections_match_their_pinned_digest() {
+        assert_eq!(bias_correction_digest(0.9, 100_000), 12625982480814243395, "beta1 = 0.9");
+        assert_eq!(bias_correction_digest(0.999, 100_000), 3457208062141925059, "beta2 = 0.999");
     }
 
     #[test]

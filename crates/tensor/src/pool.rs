@@ -139,23 +139,31 @@ impl Drop for WorkerFlag {
     }
 }
 
-/// The one dispatch loop behind [`par_map`] and [`par_map_work`]. Every
-/// thread takes the next position of `order` from one atomic counter until
-/// none is left, building its state with `init` on its first task. With one
-/// thread the loop runs inline on the caller, flag untouched; otherwise
+/// The one dispatch loop behind [`par_map`] and [`par_map_work`]. With one
+/// thread the tasks run inline on the caller in index order, flag
+/// untouched, on one state that `init` builds only when there is a task;
+/// nothing is timed and `order` is never built. Otherwise every thread
+/// takes the next position of `order()` from one atomic counter until none
+/// is left, building its state with `init` on its first task, and
 /// `threads − 1` scoped workers join the calling thread, which runs the same
-/// loop under [`WorkerFlag`]. Each task's wall time goes to
-/// `pool.task.wall_us`, and a spawning dispatch records the capacity its
-/// threads spent outside tasks (threads × wall − task time: spawns, `init`,
-/// the tail wait) in `pool.dispatch.idle_us`; both are wall-clock metrics,
-/// rendered in tables and kept out of the JSONL. Results come back in task
-/// order whoever ran them.
-fn dispatch<S, R, I, F>(threads: usize, order: &[usize], init: I, f: F) -> Vec<R>
+/// loop under [`WorkerFlag`]. A spawning dispatch times each task into
+/// `pool.task.wall_us` and records the capacity its threads spent outside
+/// tasks (threads × wall − task time: spawns, `init`, the tail wait) in
+/// `pool.dispatch.idle_us`; both are wall-clock metrics, rendered in tables
+/// and kept out of the JSONL. Results come back in task order whoever ran
+/// them.
+fn dispatch<S, R, O, I, F>(threads: usize, n_tasks: usize, order: O, init: I, f: F) -> Vec<R>
 where
     R: Send,
+    O: FnOnce() -> Vec<usize>,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> R + Sync,
 {
+    if threads <= 1 {
+        let mut state = None;
+        return (0..n_tasks).map(|i| f(state.get_or_insert_with(&init), i)).collect();
+    }
+    let order = order();
     let task_wall =
         nfm_obs::histogram!("pool.task.wall_us", nfm_obs::Unit::Micros, nfm_obs::WALL_EDGES);
     let next = AtomicUsize::new(0);
@@ -173,34 +181,29 @@ where
         }
         (done, busy)
     };
-    let shares: Vec<(Vec<(usize, R)>, Duration)> = if threads <= 1 {
-        vec![work()]
-    } else {
-        let t0 = Instant::now();
-        let shares: Vec<_> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (1..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let _flag = WorkerFlag::set();
-                        work()
-                    })
+    let t0 = Instant::now();
+    let shares: Vec<(Vec<(usize, R)>, Duration)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (1..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let _flag = WorkerFlag::set();
+                    work()
                 })
-                .collect();
-            let mine = {
-                let _flag = WorkerFlag::set();
-                work()
-            };
-            std::iter::once(mine)
-                .chain(workers.into_iter().map(|w| w.join().expect("pool worker panicked")))
-                .collect()
-        });
-        let busy: Duration = shares.iter().map(|(_, busy)| *busy).sum();
-        let capacity = t0.elapsed() * threads as u32;
-        nfm_obs::histogram!("pool.dispatch.idle_us", nfm_obs::Unit::Micros, nfm_obs::WALL_EDGES)
-            .observe(capacity.saturating_sub(busy).as_micros() as u64);
-        shares
-    };
-    let mut slots: Vec<Option<R>> = (0..order.len()).map(|_| None).collect();
+            })
+            .collect();
+        let mine = {
+            let _flag = WorkerFlag::set();
+            work()
+        };
+        std::iter::once(mine)
+            .chain(workers.into_iter().map(|w| w.join().expect("pool worker panicked")))
+            .collect()
+    });
+    let busy: Duration = shares.iter().map(|(_, busy)| *busy).sum();
+    let capacity = t0.elapsed() * threads as u32;
+    nfm_obs::histogram!("pool.dispatch.idle_us", nfm_obs::Unit::Micros, nfm_obs::WALL_EDGES)
+        .observe(capacity.saturating_sub(busy).as_micros() as u64);
+    let mut slots: Vec<Option<R>> = (0..n_tasks).map(|_| None).collect();
     for (i, r) in shares.into_iter().flat_map(|(done, _)| done) {
         slots[i] = Some(r);
     }
@@ -208,22 +211,24 @@ where
 }
 
 /// Count a dispatch in the `pool.*` metrics and run it on every effective
-/// worker, the calling thread included.
-fn fan_out<S, R, I, F>(order: &[usize], init: I, f: F) -> Vec<R>
+/// worker, the calling thread included; `order()` is the order a spawning
+/// dispatch deals the tasks in.
+fn fan_out<S, R, O, I, F>(n_tasks: usize, order: O, init: I, f: F) -> Vec<R>
 where
     R: Send,
+    O: FnOnce() -> Vec<usize>,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> R + Sync,
 {
-    let threads = effective_threads().min(order.len());
+    let threads = effective_threads().min(n_tasks);
     nfm_obs::counter!("pool.par_map.calls").inc();
-    nfm_obs::counter!("pool.par_map.tasks").add(order.len() as u64);
+    nfm_obs::counter!("pool.par_map.tasks").add(n_tasks as u64);
     // Gauge writes are last-write-wins; restricting them to the main thread
     // keeps the final snapshot value deterministic (workers would race).
     if !IN_WORKER.with(Cell::get) {
         nfm_obs::gauge!("pool.threads.effective").set(threads.max(1) as f64);
     }
-    dispatch(threads, order, init, f)
+    dispatch(threads, n_tasks, order, init, f)
 }
 
 /// Run `f(task_index)` for every task, returning results in task order.
@@ -236,8 +241,7 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let order: Vec<usize> = (0..n_tasks).collect();
-    fan_out(&order, || (), |_, i| f(i))
+    fan_out(n_tasks, || (0..n_tasks).collect(), || (), |_, i| f(i))
 }
 
 /// Minimum total work (in flop-like units) before [`par_map_work`] spawns
@@ -277,10 +281,9 @@ where
 {
     let total = costs.iter().fold(0usize, |sum, &c| sum.saturating_add(c));
     if total < PAR_WORK_MIN || effective_threads() <= 1 {
-        let order: Vec<usize> = (0..costs.len()).collect();
-        return dispatch(1, &order, init, f);
+        return dispatch(1, costs.len(), Vec::new, init, f);
     }
-    fan_out(&costliest_first(costs), init, f)
+    fan_out(costs.len(), || costliest_first(costs), init, f)
 }
 
 /// Split `data` into chunks of `chunk_len` elements and run
@@ -517,6 +520,18 @@ mod tests {
         let built = built.into_inner().expect("no test thread panics holding the lock");
         let ran_on: std::collections::HashSet<_> = ran.into_iter().collect();
         assert_eq!(built.len(), ran_on.len(), "one init per thread that ran a task: {built:?}");
+    }
+
+    #[test]
+    fn init_never_runs_without_a_task() {
+        let inits = AtomicUsize::new(0);
+        for threads in [1, 4] {
+            set_threads(threads);
+            let none = par_map_work(&[], || inits.fetch_add(1, Ordering::SeqCst), |_, i| i);
+            assert!(none.is_empty());
+        }
+        set_threads(0);
+        assert_eq!(inits.load(Ordering::SeqCst), 0, "a dispatch without tasks built a state");
     }
 
     #[test]
