@@ -25,7 +25,7 @@ use std::path::PathBuf;
 
 use nfm_bench::{banner, render_table, train_serving_model, Scale};
 use nfm_core::baselines::MajorityBaseline;
-use nfm_core::cluster::{ClusterConfig, ClusterStats, ClusterSupervisor};
+use nfm_core::cluster::{ClusterConfig, ClusterStats, ClusterSupervisor, CANARY};
 use nfm_core::pipeline::FmClassifier;
 use nfm_core::report::Table;
 use nfm_core::serve::{assemble_requests, Fallback, ServeConfig};
@@ -62,21 +62,14 @@ fn majority() -> Fallback {
 /// recoveries land inside the run.
 fn cluster_config(clf: &FmClassifier) -> ClusterConfig {
     let request_cost = clf.inference_cost(64);
-    let canary = vec!["PORT_443".to_string(), "IP4".to_string()];
-    let probe_cost = clf.inference_cost(canary.len());
+    let probe_cost = clf.inference_cost(CANARY.len());
     ClusterConfig {
         serve: ServeConfig { deadline_budget: request_cost * 2, ..ServeConfig::default() },
-        probe_interval: 4,
         probe_budget: probe_cost * 2,
-        canary,
-        degraded_after: 1,
-        down_after: 2,
-        hedge: true,
         // Four ticks of downtime before the first restart: long enough that
         // round-robin provably points at a downed replica (forcing failover)
         // and that a lone replica visibly loses model availability.
         restart_backoff_base: 4,
-        restart_backoff_factor: 2,
         ..ClusterConfig::default()
     }
 }

@@ -50,7 +50,7 @@ const MAX_TOKENS: usize = 48;
 /// of the application mix, so classes that were rare at calibration time
 /// dominate the drifted traffic.
 fn drift_fault() -> DriftFaultConfig {
-    DriftFaultConfig { mix_shift: 1.0, label_flip_chance: 1.0, seed: 7, ..Default::default() }
+    DriftFaultConfig { mix_shift: 1.0, label_flip_chance: 1.0, seed: 7 }
 }
 
 fn base_sim(seed: u64, n_sessions: usize) -> SimConfig {
@@ -197,9 +197,7 @@ fn run_scenario(fx: &Fixture, scenario: &Scenario) -> Outcome {
     );
     let config = ClusterConfig {
         serve: ServeConfig { quarantine_capacity: 512, ..ServeConfig::default() },
-        probe_interval: 4,
         restart_backoff_base: 4,
-        restart_backoff_factor: 2,
         ..ClusterConfig::default()
     };
     let replicas = (0..3).map(|_| (fx.clf.clone(), majority())).collect();
@@ -211,9 +209,7 @@ fn run_scenario(fx: &Fixture, scenario: &Scenario) -> Outcome {
         AdaptConfig {
             min_quarantine: 16,
             replay: fx.train.clone(),
-            holdout: Vec::new(),
             fine_tune: FineTuneConfig { epochs: 2, ..FineTuneConfig::default() },
-            ..AdaptConfig::default()
         },
     );
 

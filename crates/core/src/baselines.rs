@@ -68,6 +68,12 @@ impl Default for BaselineConfig {
     }
 }
 
+/// Multiply-accumulates of one GRU step over an embedded token: the three
+/// gates' input and recurrent matrix-vector products.
+fn token_macs(d_embed: usize, d_hidden: usize) -> usize {
+    3 * d_hidden * (d_embed + d_hidden)
+}
+
 /// A trained GRU baseline.
 pub struct GruBaseline {
     model: GruClassifier,
@@ -112,6 +118,9 @@ impl GruBaseline {
                 (ids, e.label)
             })
             .collect();
+        // Forward + backward ≈ 3× the inference MACs of each token's step.
+        let train_macs = 3 * token_macs(config.d_embed, config.d_hidden);
+        let example_cost = |&idx: &usize| train_macs * encoded[idx].0.len();
         let steps = (encoded.len().div_ceil(config.batch_size) * config.epochs).max(1);
         let schedule =
             Schedule::WarmupLinear { peak: config.lr, warmup: steps / 10 + 1, total: steps + 1 };
@@ -123,24 +132,32 @@ impl GruBaseline {
             }
             for batch in order.chunks(config.batch_size) {
                 model.zero_grad();
-                // Data-parallel microbatches: fixed shard boundaries, each
-                // shard trains a replica, gradients fold in shard order —
-                // same recipe as the transformer loops, same determinism.
+                // Data-parallel microbatches: fixed shard boundaries, one
+                // replica per worker zeroed for each shard, gradients fold
+                // in shard order — same recipe as the transformer loops,
+                // same determinism.
                 let shards = pool::shard_ranges(batch.len(), pool::REDUCE_SHARDS);
-                let results = pool::par_map(shards.len(), |s| {
-                    let mut replica = model.clone();
-                    replica.zero_grad();
-                    for &idx in &batch[shards[s].clone()] {
-                        let (ids, label) = &encoded[idx];
-                        if ids.is_empty() {
-                            continue;
+                let costs: Vec<usize> = shards
+                    .iter()
+                    .map(|r| batch[r.clone()].iter().map(example_cost).sum())
+                    .collect();
+                let results = pool::par_map_work(
+                    &costs,
+                    || model.clone(),
+                    |replica, s| {
+                        replica.zero_grad();
+                        for &idx in &batch[shards[s].clone()] {
+                            let (ids, label) = &encoded[idx];
+                            if ids.is_empty() {
+                                continue;
+                            }
+                            let logits = replica.forward(ids);
+                            let (_, dlogits) = softmax_cross_entropy(&logits, &[*label]);
+                            replica.backward(&dlogits);
                         }
-                        let logits = replica.forward(ids);
-                        let (_, dlogits) = softmax_cross_entropy(&logits, &[*label]);
-                        replica.backward(&dlogits);
-                    }
-                    replica.export_grads()
-                });
+                        replica.export_grads()
+                    },
+                );
                 for grads in results {
                     model.accumulate_grads(&grads);
                 }
@@ -165,7 +182,10 @@ impl GruBaseline {
     /// Evaluate on examples (predictions run example-parallel; the integer
     /// confusion counts are identical at any thread count).
     pub fn evaluate(&self, examples: &[TextExample]) -> Confusion {
-        let preds = pool::par_map(examples.len(), |i| self.predict(&examples[i].tokens));
+        let macs = token_macs(self.model.embedding.dim(), self.model.d_hidden);
+        let costs: Vec<usize> =
+            examples.iter().map(|e| macs * e.tokens.len().min(self.max_len)).collect();
+        let preds = pool::par_map_work(&costs, || (), |_, i| self.predict(&examples[i].tokens));
         let mut c = Confusion::new(self.n_classes);
         for (e, p) in examples.iter().zip(preds) {
             c.add(e.label, p);

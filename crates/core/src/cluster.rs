@@ -21,8 +21,8 @@
 //!    `Healthy → Degraded → Down` state machine, and one passing probe
 //!    restores it.
 //! 3. **Hedged dispatch** — when a replica answers past its deadline
-//!    budget and hedging is enabled, the supervisor re-issues the request
-//!    to a second healthy replica and keeps the better answer.
+//!    budget, the supervisor re-issues the request to a second healthy
+//!    replica and keeps the better answer.
 //! 4. **Supervised warm restart** — a `Down` replica is restarted with
 //!    exponential backoff from its last good checkpoint via
 //!    [`load_classifier_with_retry`]; a checkpoint that fails its CRC is a
@@ -116,6 +116,28 @@ impl ReplicaHealth {
     }
 }
 
+/// The token context every health probe classifies.
+pub const CANARY: [&str; 2] = ["PORT_443", "IP4"];
+
+/// Consecutive probe failures that mark a replica `Down`; the first failure
+/// marks it `Degraded`.
+const DOWN_AFTER: usize = 2;
+
+/// Multiplier on a `Down` replica's restart backoff after each failed
+/// restart attempt.
+const RESTART_BACKOFF_FACTOR: usize = 2;
+
+/// Ticks to wait after a failed or rejected adaptation or a rollback; each
+/// consecutive one multiplies the wait by [`ADAPT_BACKOFF_FACTOR`].
+const ADAPT_BACKOFF_BASE: usize = 4;
+
+/// Multiplier on the adaptation backoff per consecutive failure.
+const ADAPT_BACKOFF_FACTOR: usize = 2;
+
+/// Ticks of quiet after a completed rollout before the next adaptation may
+/// start.
+const ADAPT_COOLDOWN: usize = 8;
+
 /// Cluster-supervisor knobs.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -128,27 +150,16 @@ pub struct ClusterConfig {
     pub probe_interval: usize,
     /// Cost budget for one health probe on an unimpaired replica. The
     /// default, `u64::MAX`, is a sentinel meaning *auto*: construction
-    /// resolves it to 1.5× the canary's inference cost on the replica
+    /// resolves it to 1.5× the [`CANARY`]'s inference cost on the replica
     /// model, so an unimpaired replica always passes while any stall
     /// factor (≥ 2) shrinks the budget below one canary inference and
     /// fails the probe. Finite values are used as-is; stall detection
     /// requires the budget to be finite and within `stall_factor`× of the
     /// canary cost.
     pub probe_budget: u64,
-    /// Token context classified by every probe.
-    pub canary: Vec<String>,
-    /// Consecutive probe failures that mark a replica `Degraded`.
-    pub degraded_after: usize,
-    /// Consecutive probe failures that mark a replica `Down`.
-    pub down_after: usize,
-    /// Re-issue deadline-missed requests to a second healthy replica.
-    pub hedge: bool,
-    /// Ticks before the first restart attempt of a `Down` replica.
+    /// Ticks before the first restart attempt of a `Down` replica; each
+    /// failed attempt doubles the wait.
     pub restart_backoff_base: usize,
-    /// Backoff multiplier after each failed restart attempt.
-    pub restart_backoff_factor: usize,
-    /// Retry policy for checkpoint loads during warm restart.
-    pub restart_retry: RetryPolicy,
 }
 
 impl Default for ClusterConfig {
@@ -157,13 +168,7 @@ impl Default for ClusterConfig {
             serve: ServeConfig::default(),
             probe_interval: 4,
             probe_budget: u64::MAX,
-            canary: vec!["PORT_443".to_string(), "IP4".to_string()],
-            degraded_after: 1,
-            down_after: 2,
-            hedge: true,
             restart_backoff_base: 2,
-            restart_backoff_factor: 2,
-            restart_retry: RetryPolicy::default(),
         }
     }
 }
@@ -270,9 +275,11 @@ impl ClusterStats {
 /// Self-healing knobs: when a replica's drift detector trips and enough
 /// traffic sits in quarantine, the supervisor fine-tunes the incumbent
 /// model in the background (quarantine + `replay` against catastrophic
-/// forgetting), shadow-evaluates the candidate on `holdout` plus the
-/// drained quarantine, and — only if the candidate is no worse — rolls it
-/// out through a canary replica before the fleet.
+/// forgetting), shadow-evaluates the candidate on the drained quarantine,
+/// and — only if the candidate is no worse — rolls it out through a canary
+/// replica before the fleet. A failed or rejected adaptation or a rollback
+/// waits 4 ticks before the next attempt, doubling per consecutive
+/// failure; a completed rollout is followed by 8 quiet ticks.
 #[derive(Debug, Clone)]
 pub struct AdaptConfig {
     /// Minimum quarantined examples (summed across replicas) before an
@@ -281,41 +288,19 @@ pub struct AdaptConfig {
     /// Replay slice of the original training data mixed into every
     /// adaptation fine-tune so the candidate keeps its old competence.
     pub replay: Vec<TextExample>,
-    /// Deterministic held-out examples for the shadow evaluation (compared
-    /// alongside the drained quarantine).
-    pub holdout: Vec<TextExample>,
-    /// Fine-tune settings for the background adaptation pass.
-    pub fine_tune: FineTuneConfig,
-    /// Ticks to wait before retrying after a failed/rejected adaptation or
-    /// a rollback.
-    pub backoff_base: usize,
-    /// Backoff multiplier per consecutive failure.
-    pub backoff_factor: usize,
-    /// Ticks of quiet after a completed rollout before the next adaptation
-    /// may start.
-    pub cooldown: usize,
-    /// Adapt the classification head only: the background fine-tune runs
-    /// with the encoder frozen, so the candidate differs from the incumbent
-    /// in head weights alone. This is the shared-backbone serving
-    /// contract — a drifted task can be repaired and canary-rolled without
-    /// perturbing the encoder other tasks share (see
+    /// Fine-tune settings for the background adaptation pass. With
+    /// `freeze_encoder` set the candidate differs from the incumbent in
+    /// head weights alone. This is the shared-backbone serving contract —
+    /// a drifted task can be repaired and canary-rolled without perturbing
+    /// the encoder other tasks share (see
     /// [`TaskHead`](crate::pipeline::TaskHead) and
     /// [`MultiTaskServer`](crate::serve::MultiTaskServer)).
-    pub head_only: bool,
+    pub fine_tune: FineTuneConfig,
 }
 
 impl Default for AdaptConfig {
     fn default() -> Self {
-        AdaptConfig {
-            min_quarantine: 32,
-            replay: Vec::new(),
-            holdout: Vec::new(),
-            fine_tune: FineTuneConfig::default(),
-            backoff_base: 4,
-            backoff_factor: 2,
-            cooldown: 8,
-            head_only: false,
-        }
+        AdaptConfig { min_quarantine: 32, replay: Vec::new(), fine_tune: FineTuneConfig::default() }
     }
 }
 
@@ -355,6 +340,8 @@ pub struct ClusterSupervisor {
     replicas: Vec<Replica>,
     fallback: Fallback,
     config: ClusterConfig,
+    /// [`CANARY`] as the token context a probe classifies.
+    canary: Vec<String>,
     stats: ClusterStats,
     tick: usize,
     rr: usize,
@@ -383,7 +370,7 @@ impl ClusterSupervisor {
             // replicas fit (cost ≤ 1.5×cost); a stalled replica's shrunk
             // budget (1.5×cost / factor, factor ≥ 2) cannot, so stalls are
             // detectable without any per-model tuning.
-            let cost = replicas[0].0.inference_cost(config.canary.len());
+            let cost = replicas[0].0.inference_cost(CANARY.len());
             config.probe_budget = cost.saturating_add(cost / 2);
         }
         std::fs::create_dir_all(checkpoint_dir)
@@ -412,6 +399,7 @@ impl ClusterSupervisor {
             replicas: managed,
             fallback: supervisor_fallback,
             config,
+            canary: CANARY.map(String::from).to_vec(),
             stats: ClusterStats::default(),
             tick: 0,
             rr: 0,
@@ -471,12 +459,8 @@ impl ClusterSupervisor {
         for r in &mut self.replicas {
             r.engine.enable_drift(monitor.clone());
         }
-        self.adapt = Some(AdaptState {
-            backoff: config.backoff_base.max(1),
-            config,
-            rollout: None,
-            not_before: 0,
-        });
+        self.adapt =
+            Some(AdaptState { backoff: ADAPT_BACKOFF_BASE, config, rollout: None, not_before: 0 });
     }
 
     /// Whether any replica's drift detector is currently tripped.
@@ -544,13 +528,8 @@ impl ClusterSupervisor {
         let incumbent = self.replicas[canary].engine.model().clone();
         let mut train = fresh.clone();
         train.extend(state.config.replay.iter().cloned());
-        let mut ft = state.config.fine_tune.clone();
-        if state.config.head_only {
-            // Head-only repair: freeze the encoder so the candidate shares
-            // the incumbent's backbone bitwise and only the head moves.
-            ft.freeze_encoder = true;
-        }
-        let candidate = match FmClassifier::fine_tune_from(&incumbent, &train, &ft) {
+        let ft = &state.config.fine_tune;
+        let candidate = match FmClassifier::fine_tune_from(&incumbent, &train, ft) {
             Ok(clf) => clf,
             Err(e) => {
                 self.stats.adaptations_failed += 1;
@@ -560,13 +539,11 @@ impl ClusterSupervisor {
                 return;
             }
         };
-        // Shadow evaluation: integer correct-counts on the deterministic
-        // holdout plus the traffic that triggered the adaptation. The
-        // candidate must be at least as good as the incumbent.
-        let mut eval: Vec<&TextExample> = state.config.holdout.iter().collect();
-        eval.extend(fresh.iter());
+        // Shadow evaluation: integer correct-counts on the traffic that
+        // triggered the adaptation. The candidate must be at least as good
+        // as the incumbent.
         let correct = |clf: &FmClassifier| -> usize {
-            eval.iter().filter(|e| clf.predict(&e.tokens) == e.label).count()
+            fresh.iter().filter(|e| clf.predict(&e.tokens) == e.label).count()
         };
         let cand_correct = correct(&candidate);
         let inc_correct = correct(&incumbent);
@@ -578,7 +555,7 @@ impl ClusterSupervisor {
                 &[
                     ("candidate_correct", nfm_obs::Value::U(cand_correct as u64)),
                     ("incumbent_correct", nfm_obs::Value::U(inc_correct as u64)),
-                    ("eval_n", nfm_obs::Value::U(eval.len() as u64)),
+                    ("eval_n", nfm_obs::Value::U(fresh.len() as u64)),
                 ],
             );
             self.adapt_backoff(state);
@@ -649,14 +626,14 @@ impl ClusterSupervisor {
                 ("canary", nfm_obs::Value::U(canary as u64)),
             ],
         );
-        state.backoff = state.config.backoff_base.max(1);
-        state.not_before = self.tick + state.config.cooldown;
+        state.backoff = ADAPT_BACKOFF_BASE;
+        state.not_before = self.tick + ADAPT_COOLDOWN;
     }
 
     /// Exponential backoff after a failed/rejected adaptation or rollback.
     fn adapt_backoff(&mut self, state: &mut AdaptState) {
         state.not_before = self.tick + state.backoff;
-        state.backoff = state.backoff.saturating_mul(state.config.backoff_factor.max(2));
+        state.backoff = state.backoff.saturating_mul(ADAPT_BACKOFF_FACTOR);
     }
 
     fn transition(&mut self, replica: usize, to: ReplicaHealth, cause: &str) {
@@ -725,7 +702,7 @@ impl ClusterSupervisor {
             false
         } else {
             let budget = self.config.probe_budget / self.replicas[i].stall_factor;
-            match self.replicas[i].engine.model().logits_within(&self.config.canary, budget) {
+            match self.replicas[i].engine.model().logits_within(&self.canary, budget) {
                 Ok((logits, _)) => logits.iter().all(|v| v.is_finite()),
                 Err(_) => false,
             }
@@ -739,15 +716,12 @@ impl ClusterSupervisor {
             self.replicas[i].probe_failures += 1;
             self.stats.probe_failures += 1;
             nfm_obs::counter!("cluster.probe_failures").inc();
-            let target = if self.replicas[i].crashed
-                || self.replicas[i].probe_failures >= self.config.down_after
-            {
-                ReplicaHealth::Down
-            } else if self.replicas[i].probe_failures >= self.config.degraded_after {
-                ReplicaHealth::Degraded
-            } else {
-                self.replicas[i].health
-            };
+            let target =
+                if self.replicas[i].crashed || self.replicas[i].probe_failures >= DOWN_AFTER {
+                    ReplicaHealth::Down
+                } else {
+                    ReplicaHealth::Degraded
+                };
             // Failures only walk the ladder downward.
             if target.severity() > self.replicas[i].health.severity() {
                 self.transition(i, target, "probe_fail");
@@ -782,10 +756,8 @@ impl ClusterSupervisor {
             }
             self.stats.restarts_attempted += 1;
             nfm_obs::counter!("cluster.restarts_attempted").inc();
-            let loaded = load_classifier_with_retry(
-                &self.replicas[i].checkpoint,
-                &self.config.restart_retry,
-            );
+            let loaded =
+                load_classifier_with_retry(&self.replicas[i].checkpoint, &RetryPolicy::default());
             let model = match loaded {
                 Ok((clf, _log)) => Some(clf),
                 Err(e) => {
@@ -823,9 +795,7 @@ impl ClusterSupervisor {
                     self.transition(i, ReplicaHealth::Degraded, "restart");
                 }
                 None => {
-                    let backoff = self.replicas[i]
-                        .backoff
-                        .saturating_mul(self.config.restart_backoff_factor.max(2));
+                    let backoff = self.replicas[i].backoff.saturating_mul(RESTART_BACKOFF_FACTOR);
                     self.replicas[i].backoff = backoff;
                     self.replicas[i].restart_due = Some(self.tick + backoff);
                 }
@@ -949,7 +919,7 @@ impl ClusterSupervisor {
         routed: &[ServeRequest],
         response: Response,
     ) -> Response {
-        if !self.config.hedge || !response.deadline_missed {
+        if !response.deadline_missed {
             return response;
         }
         let secondary = (0..self.replicas.len())
@@ -1113,6 +1083,61 @@ mod tests {
         assert!(stats.peer_clones >= 1, "a healthy peer donated its model");
         assert!(stats.restarts_ok >= 1);
         assert_eq!(cluster.replica_health(0), ReplicaHealth::Healthy);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn probe_failures_walk_the_ladder_and_a_restart_is_on_probation() {
+        let (clf, _) = tiny_parts();
+        let dir = temp_dir("ladder");
+        // Default cadence: probes at ticks 0, 4, 8; restart backoff 2.
+        let mut cluster = build(&clf, 3, &dir, ClusterConfig::default());
+        let faults =
+            [ReplicaFault { replica: 0, at_burst: 0, kind: ReplicaFaultKind::CorruptWeights }];
+        let health: Vec<ReplicaHealth> = (0..9)
+            .map(|_| {
+                cluster.run_tick(&[], &faults);
+                cluster.replica_health(0)
+            })
+            .collect();
+        use ReplicaHealth::{Degraded, Down, Healthy};
+        assert_eq!(
+            health,
+            [Degraded, Degraded, Degraded, Degraded, Down, Down, Degraded, Degraded, Healthy],
+            "first failed probe degrades, the second downs; the restart at tick 6 is on \
+             probation until the probe at tick 8 passes"
+        );
+        let stats = cluster.stats();
+        assert_eq!((stats.restarts_attempted, stats.restarts_ok), (1, 1));
+        assert_eq!((stats.to_degraded, stats.to_down, stats.to_healthy), (2, 1, 1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_restarts_double_their_backoff() {
+        let (clf, _) = tiny_parts();
+        let dir = temp_dir("backoff");
+        // One replica, so no peer can donate a model once its bit-flipped
+        // checkpoint fails to load.
+        let mut cluster = build(&clf, 1, &dir, ClusterConfig::default());
+        let path = cluster.checkpoint_path(0).to_path_buf();
+        let mut bytes = std::fs::read(&path).expect("read checkpoint");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(&path, &bytes).expect("write checkpoint");
+        let faults = [ReplicaFault { replica: 0, at_burst: 0, kind: ReplicaFaultKind::Crash }];
+        let mut attempts_at = Vec::new();
+        for tick in 0..=30 {
+            let before = cluster.stats().restarts_attempted;
+            cluster.run_tick(&[], &faults);
+            if cluster.stats().restarts_attempted > before {
+                attempts_at.push(tick);
+            }
+        }
+        assert_eq!(attempts_at, [2, 6, 14, 30], "waits of 2, 4, 8 and 16 ticks");
+        let stats = cluster.stats();
+        assert_eq!((stats.restart_load_errors, stats.restarts_ok, stats.peer_clones), (4, 0, 0));
+        assert_eq!(cluster.replica_health(0), ReplicaHealth::Down);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1305,8 +1330,12 @@ mod tests {
             min_quarantine: 4,
             // A hotter, longer head-only fit: with the encoder frozen
             // only the head can absorb the flipped labels.
-            fine_tune: FineTuneConfig { epochs: 8, lr: 1e-2, ..FineTuneConfig::default() },
-            head_only: true,
+            fine_tune: FineTuneConfig {
+                epochs: 8,
+                lr: 1e-2,
+                freeze_encoder: true,
+                ..FineTuneConfig::default()
+            },
             ..AdaptConfig::default()
         };
         let (cluster, reference) = label_drift_run(&clf, &trace, &dir, adapt, &flip);

@@ -318,6 +318,10 @@ impl PageHinkley {
     }
 }
 
+/// Page–Hinkley tolerated deviation for the feedback-error stream, whose
+/// observations are 0 or 1000.
+const ERR_DELTA_MILLI: i64 = 150;
+
 /// Tuning for [`DriftMonitor`]: thresholds are integer milli-units of the
 /// per-request drift score (confidence part spans 0..=1000, distance part
 /// 0..=[`DriftMonitor::DIST_CLAMP_MILLI`]).
@@ -329,10 +333,8 @@ pub struct DriftConfig {
     pub lambda_milli: i64,
     /// Warmup observations before the score test accumulates.
     pub warmup: u64,
-    /// Tolerated deviation for the feedback-error stream (errors are fed as
-    /// 0 or 1000 per labeled observation).
-    pub err_delta_milli: i64,
-    /// Trip threshold for the feedback-error stream.
+    /// Trip threshold for the feedback-error stream (errors are fed as 0 or
+    /// 1000 per labeled observation).
     pub err_lambda_milli: i64,
     /// Warmup observations before the feedback test accumulates.
     pub err_warmup: u64,
@@ -347,7 +349,6 @@ impl Default for DriftConfig {
             delta_milli: 100,
             lambda_milli: 6000,
             warmup: 32,
-            err_delta_milli: 150,
             err_lambda_milli: 8000,
             err_warmup: 16,
             quarantine_threshold_milli: 1600,
@@ -414,11 +415,7 @@ impl DriftMonitor {
             d_ref_milli,
             config,
             score_ph: PageHinkley::new(config.delta_milli, config.lambda_milli, config.warmup),
-            err_ph: PageHinkley::new(
-                config.err_delta_milli,
-                config.err_lambda_milli,
-                config.err_warmup,
-            ),
+            err_ph: PageHinkley::new(ERR_DELTA_MILLI, config.err_lambda_milli, config.err_warmup),
             observed: 0,
             trips: 0,
         }

@@ -7,6 +7,7 @@
 //! degrade gracefully: empty inputs, diverged training runs, and corrupted
 //! checkpoints are reported, never `panic!`ed.
 
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 use std::path::Path;
@@ -90,6 +91,10 @@ impl From<CheckpointError> for PipelineError {
     }
 }
 
+/// Minimum corpus frequency for a token to enter the pre-training
+/// vocabulary.
+const MIN_FREQ: usize = 2;
+
 /// Pipeline hyperparameters.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
@@ -103,8 +108,6 @@ pub struct PipelineConfig {
     pub d_ff: usize,
     /// Maximum sequence length.
     pub max_len: usize,
-    /// Minimum token frequency for the vocabulary.
-    pub min_freq: usize,
     /// Pre-training context strategy.
     pub context: ContextStrategy,
     /// Pre-training configuration.
@@ -119,7 +122,6 @@ impl Default for PipelineConfig {
             n_layers: 2,
             d_ff: 64,
             max_len: 96,
-            min_freq: 2,
             context: ContextStrategy::Flow,
             pretrain: PretrainConfig::default(),
         }
@@ -156,7 +158,7 @@ impl FoundationModel {
         if contexts.is_empty() {
             return Err(PipelineError::NoContexts);
         }
-        let vocab = Vocab::from_sequences(&contexts, config.min_freq);
+        let vocab = Vocab::from_sequences(&contexts, MIN_FREQ);
         let enc_cfg = EncoderConfig {
             vocab: vocab.len(),
             d_model: config.d_model,
@@ -395,11 +397,14 @@ fn run_fine_tune_shard(
 /// optimizers, and the epoch's loss sum — plus the examples its batches
 /// draw from. [`TrainGuard`] clones it as the epoch-start snapshot.
 #[derive(Clone)]
-struct FineTuneState<'a> {
+struct FineTuneState<'a, 'e> {
     config: &'a FineTuneConfig,
     encoded: &'a [(Vec<usize>, usize)],
     pooling: Pooling,
-    encoder: Encoder,
+    /// Borrowed exactly when `config.freeze_encoder` is set, so a snapshot
+    /// copies the encoder only when the run trains it, and `to_mut` never
+    /// copies.
+    encoder: Cow<'e, Encoder>,
     head: ClsHead,
     opt_enc: Adam,
     opt_head: Adam,
@@ -408,11 +413,11 @@ struct FineTuneState<'a> {
     batches: usize,
 }
 
-impl Trainee for FineTuneState<'_> {
+impl Trainee for FineTuneState<'_, '_> {
     fn batch(&mut self, idxs: &[usize], _rng: &mut StdRng, _step: u64) -> (f32, f32) {
         let freeze_encoder = self.config.freeze_encoder;
         if !freeze_encoder {
-            self.encoder.zero_grad();
+            self.encoder.to_mut().zero_grad();
         }
         self.head.zero_grad();
         // Fixed microbatch shards (boundaries depend only on the batch
@@ -428,7 +433,7 @@ impl Trainee for FineTuneState<'_> {
             shards.iter().map(|r| idxs[r.clone()].iter().map(example_cost).sum()).collect();
         let results = tpool::par_map_work(
             &costs,
-            || ((!freeze_encoder).then(|| self.encoder.clone()), self.head.clone()),
+            || ((!freeze_encoder).then(|| Encoder::clone(&self.encoder)), self.head.clone()),
             |replica, s| {
                 let shard = &idxs[shards[s].clone()];
                 run_fine_tune_shard(replica, &self.encoder, shard, self.encoded, self.pooling)
@@ -437,7 +442,7 @@ impl Trainee for FineTuneState<'_> {
         let mut batch_loss = 0.0f32;
         for (enc_g, head_g, loss) in results {
             if !freeze_encoder {
-                self.encoder.accumulate_grads(&enc_g);
+                self.encoder.to_mut().accumulate_grads(&enc_g);
             }
             self.head.accumulate_grads(&head_g);
             batch_loss += loss;
@@ -445,10 +450,11 @@ impl Trainee for FineTuneState<'_> {
         let mean_loss = batch_loss / idxs.len().max(1) as f32;
         let mut grad_norm = clip_global_norm(&mut self.head, 5.0);
         if !freeze_encoder {
+            let encoder = self.encoder.to_mut();
             if self.config.freeze_embeddings {
-                self.encoder.zero_token_embedding_grads();
+                encoder.zero_token_embedding_grads();
             }
-            grad_norm = grad_norm.max(clip_global_norm(&mut self.encoder, 5.0));
+            grad_norm = grad_norm.max(clip_global_norm(encoder, 5.0));
         }
         self.loss_sum += mean_loss as f64;
         self.batches += 1;
@@ -458,7 +464,7 @@ impl Trainee for FineTuneState<'_> {
     fn apply(&mut self) {
         self.opt_head.step(&mut self.head);
         if !self.config.freeze_encoder {
-            self.opt_enc.step(&mut self.encoder);
+            self.opt_enc.step(self.encoder.to_mut());
         }
     }
 
@@ -503,9 +509,24 @@ impl FmClassifier {
         if examples.is_empty() {
             return Err(PipelineError::NoExamples);
         }
-        let backbone = FmBackbone::from_model(fm, config.pooling);
-        let head = TaskHead::init("", &backbone, n_classes, config.seed);
-        Self::fine_tune_loop(backbone, head, examples, config)
+        let (d_model, pooling) = (fm.encoder.config.d_model, config.pooling);
+        let head = TaskHead::init("", d_model, pooling, n_classes, config.seed);
+        let (encoder, head) = Self::fine_tune_loop(
+            &fm.encoder,
+            &fm.vocab,
+            fm.max_len,
+            pooling,
+            head,
+            examples,
+            config,
+        )?;
+        let backbone = FmBackbone {
+            encoder: encoder.into_owned(),
+            vocab: fm.vocab.clone(),
+            max_len: fm.max_len,
+            pooling,
+        };
+        Ok(FmClassifier { backbone: Arc::new(backbone), head })
     }
 
     /// Warm-start fine-tuning from an existing classifier: the encoder and
@@ -514,7 +535,8 @@ impl FmClassifier {
     /// incumbent model on quarantined + replay traffic without retraining
     /// from the foundation model. Class count and pooling are inherited
     /// from `base` (a head cannot change shape mid-flight), so
-    /// `config.pooling` is ignored.
+    /// `config.pooling` is ignored. With `config.freeze_encoder` set the
+    /// result shares `base`'s backbone.
     pub fn fine_tune_from(
         base: &FmClassifier,
         examples: &[TextExample],
@@ -524,31 +546,58 @@ impl FmClassifier {
         if examples.is_empty() {
             return Err(PipelineError::NoExamples);
         }
-        Self::fine_tune_loop((*base.backbone).clone(), base.head.clone(), examples, config)
+        let b = &base.backbone;
+        let (encoder, head) = Self::fine_tune_loop(
+            &b.encoder,
+            &b.vocab,
+            b.max_len,
+            b.pooling,
+            base.head.clone(),
+            examples,
+            config,
+        )?;
+        let backbone = match encoder {
+            Cow::Borrowed(_) => Arc::clone(b),
+            Cow::Owned(encoder) => Arc::new(FmBackbone {
+                encoder,
+                vocab: b.vocab.clone(),
+                max_len: b.max_len,
+                pooling: b.pooling,
+            }),
+        };
+        Ok(FmClassifier { backbone, head })
     }
 
     /// The fine-tuning run shared by [`FmClassifier::fine_tune`] (fresh
     /// head), [`FmClassifier::fine_tune_from`] (warm start), and the
     /// head-only [`TaskHead`] fits: each epoch runs under the same
-    /// [`TrainGuard`] loop as pre-training. Pools through the backbone's
-    /// pooling; `config.pooling` is not read.
-    fn fine_tune_loop(
-        backbone: FmBackbone,
+    /// [`TrainGuard`] loop as pre-training, encoding `examples` with
+    /// `vocab` and `max_len` and pooling through `pooling`;
+    /// `config.pooling` is not read. A frozen run
+    /// (`config.freeze_encoder`) reads `encoder` in place and hands it back
+    /// borrowed; any other run trains, and returns, its own copy.
+    fn fine_tune_loop<'e>(
+        encoder: &'e Encoder,
+        vocab: &Vocab,
+        max_len: usize,
+        pooling: Pooling,
         task: TaskHead,
         examples: &[TextExample],
         config: &FineTuneConfig,
-    ) -> Result<FmClassifier, PipelineError> {
-        let FmBackbone { encoder, vocab, max_len, pooling } = backbone;
+    ) -> Result<(Cow<'e, Encoder>, TaskHead), PipelineError> {
+        let encoder = if config.freeze_encoder {
+            Cow::Borrowed(encoder)
+        } else {
+            Cow::Owned(encoder.clone())
+        };
         let TaskHead { name, head, n_classes, .. } = task;
         // Span cost = MAC delta over the run (deterministic work units).
         let macs = nfm_obs::global().counter("tensor.matmul.macs", nfm_obs::Unit::Macs);
         let macs_at_start = macs.get();
         let mut run_span = nfm_obs::span!("finetune.run");
 
-        let encoded: Vec<(Vec<usize>, usize)> = examples
-            .iter()
-            .map(|e| (encode_context(&vocab, &e.tokens, max_len), e.label))
-            .collect();
+        let encoded: Vec<(Vec<usize>, usize)> =
+            examples.iter().map(|e| (encode_context(vocab, &e.tokens, max_len), e.label)).collect();
         let steps = (encoded.len().div_ceil(config.batch_size) * config.epochs).max(1);
         let schedule =
             Schedule::WarmupLinear { peak: config.lr, warmup: steps / 10 + 1, total: steps + 1 };
@@ -580,10 +629,7 @@ impl FmClassifier {
             );
         }
         run_span.add_cost(macs.get().saturating_sub(macs_at_start));
-        Ok(FmClassifier {
-            backbone: Arc::new(FmBackbone { encoder: st.encoder, vocab, max_len, pooling }),
-            head: TaskHead { name, head: st.head, n_classes, pooling },
-        })
+        Ok((st.encoder, TaskHead { name, head: st.head, n_classes, pooling }))
     }
 
     /// Serialize the fine-tuned classifier (vocabulary + encoder + head +
@@ -806,6 +852,28 @@ impl FmBackbone {
         FmClassifier::new(Arc::new(self.clone()), head.clone())
     }
 
+    /// Fine-tune `task` against this backbone with the encoder frozen,
+    /// whatever `config.freeze_encoder` says: the run reads the encoder in
+    /// place and only the head trains.
+    fn fit_frozen(
+        &self,
+        task: TaskHead,
+        examples: &[TextExample],
+        config: &FineTuneConfig,
+    ) -> Result<TaskHead, PipelineError> {
+        let config = FineTuneConfig { freeze_encoder: true, ..config.clone() };
+        let (_, head) = FmClassifier::fine_tune_loop(
+            &self.encoder,
+            &self.vocab,
+            self.max_len,
+            self.pooling,
+            task,
+            examples,
+            &config,
+        )?;
+        Ok(head)
+    }
+
     /// Model input ids for a token sequence.
     fn encode(&self, tokens: &[String]) -> Vec<usize> {
         encode_context(&self.vocab, tokens, self.max_len)
@@ -898,10 +966,9 @@ impl TaskHead {
         if examples.is_empty() {
             return Err(PipelineError::NoExamples);
         }
-        let mut config = config.clone();
-        config.freeze_encoder = true;
-        let head = TaskHead::init(name, backbone, n_classes, config.seed);
-        Ok(FmClassifier::fine_tune_loop(backbone.clone(), head, examples, &config)?.head)
+        let head =
+            TaskHead::init(name, backbone.d_model(), backbone.pooling, n_classes, config.seed);
+        backbone.fit_frozen(head, examples, config)
     }
 
     /// Continue training this head (warm start) against the same frozen
@@ -918,19 +985,18 @@ impl TaskHead {
         if examples.is_empty() {
             return Err(PipelineError::NoExamples);
         }
-        let mut config = config.clone();
-        config.freeze_encoder = true;
-        Ok(FmClassifier::fine_tune_loop(backbone.clone(), self.clone(), examples, &config)?.head)
+        backbone.fit_frozen(self.clone(), examples, config)
     }
 
-    /// A freshly initialized head for `backbone`, seeded by `seed`.
-    fn init(name: &str, backbone: &FmBackbone, n_classes: usize, seed: u64) -> TaskHead {
+    /// A freshly initialized head over `d_model`-wide embeddings pooled by
+    /// `pooling`, seeded by `seed`.
+    fn init(name: &str, d_model: usize, pooling: Pooling, n_classes: usize, seed: u64) -> TaskHead {
         let mut rng = StdRng::seed_from_u64(seed);
         TaskHead {
             name: name.to_string(),
-            head: ClsHead::new(&mut rng, backbone.d_model(), n_classes),
+            head: ClsHead::new(&mut rng, d_model, n_classes),
             n_classes,
-            pooling: backbone.pooling,
+            pooling,
         }
     }
 
@@ -1362,7 +1428,7 @@ mod tests {
         let train = head_train(2);
         // Every step's loss exceeds 0, so every step trips the guard.
         let cfg = FineTuneConfig {
-            guard: GuardConfig { max_loss: 0.0, max_retries: 1, ..GuardConfig::default() },
+            guard: GuardConfig { max_loss: 0.0, max_retries: 1 },
             ..FineTuneConfig::default()
         };
         let check = |result: Result<(), PipelineError>| match result {
@@ -1419,6 +1485,20 @@ mod tests {
         let clf = &tiny().clf;
         let result = clf.head().fine_tune_from(clf.backbone(), &head_train(2), &zero_batch());
         check_zero_batch_rejected(result.map(drop));
+    }
+
+    #[test]
+    fn frozen_fine_tune_from_shares_the_base_backbone() {
+        let base = &tiny().clf;
+        let cfg = FineTuneConfig { epochs: 1, freeze_encoder: true, ..FineTuneConfig::default() };
+        let frozen = FmClassifier::fine_tune_from(base, &head_train(2), &cfg).expect("frozen");
+        assert!(
+            std::ptr::eq(frozen.backbone(), base.backbone()),
+            "a frozen fit copied the backbone"
+        );
+        let cfg = FineTuneConfig { freeze_encoder: false, ..cfg };
+        let trained = FmClassifier::fine_tune_from(base, &head_train(2), &cfg).expect("trained");
+        assert!(!std::ptr::eq(trained.backbone(), base.backbone()), "training must not share");
     }
 
     #[test]

@@ -298,10 +298,9 @@ proptest! {
             1 => Just(f64::INFINITY),
             1 => Just(f64::NEG_INFINITY),
         ],
-        onset_burst in 0usize..100,
         seed in 0u64..1_000,
     ) {
-        let cfg = DriftFaultConfig { onset_burst, mix_shift, label_flip_chance, seed };
+        let cfg = DriftFaultConfig { mix_shift, label_flip_chance, seed };
         let in_domain =
             |v: f64| v.is_finite() && (0.0..=1.0).contains(&v);
         match cfg.validate() {

@@ -7,11 +7,10 @@
 //! the per-epoch batch order, the epoch-start snapshot, the per-step check
 //! of the loss and pre-clip gradient norm for NaN/Inf or explosion, the
 //! step telemetry, and the recovery. When a check trips, the guard rolls
-//! the trainee back to its snapshot, scales the learning rate by
-//! [`GuardConfig::lr_backoff`], reshuffles the batch order under a fresh
-//! seed, and retries; after [`GuardConfig::max_retries`] failed attempts
-//! on the same epoch it gives up with a typed [`TrainError::Diverged`]
-//! carrying the full recovery log.
+//! the trainee back to its snapshot, halves the learning rate, reshuffles
+//! the batch order under a fresh seed, and retries; after
+//! [`GuardConfig::max_retries`] failed attempts on the same epoch it gives
+//! up with a typed [`TrainError::Diverged`] carrying the full recovery log.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -21,22 +20,25 @@ use nfm_tensor::checkpoint::CheckpointError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Thresholds and retry policy for divergence detection.
+/// Pre-clip gradient norm above this counts as an explosion.
+const MAX_GRAD_NORM: f32 = 1e3;
+
+/// Learning-rate multiplier applied on each rollback.
+const LR_BACKOFF: f32 = 0.5;
+
+/// Thresholds and retry policy for divergence detection. A pre-clip
+/// gradient norm above 1000 also counts as an explosion.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GuardConfig {
     /// Per-step mean loss above this counts as an explosion.
     pub max_loss: f32,
-    /// Pre-clip gradient norm above this counts as an explosion.
-    pub max_grad_norm: f32,
     /// Retries per epoch before giving up with [`TrainError::Diverged`].
     pub max_retries: usize,
-    /// Learning-rate multiplier applied on each rollback (e.g. 0.5 halves).
-    pub lr_backoff: f32,
 }
 
 impl Default for GuardConfig {
     fn default() -> Self {
-        GuardConfig { max_loss: 1e4, max_grad_norm: 1e3, max_retries: 3, lr_backoff: 0.5 }
+        GuardConfig { max_loss: 1e4, max_retries: 3 }
     }
 }
 
@@ -52,8 +54,8 @@ impl GuardConfig {
             Some(format!("loss {loss:.3e} exceeds {:.3e}", self.max_loss))
         } else if !grad_norm.is_finite() {
             Some(format!("gradient norm is {grad_norm}"))
-        } else if grad_norm > self.max_grad_norm {
-            Some(format!("gradient norm {grad_norm:.3e} exceeds {:.3e}", self.max_grad_norm))
+        } else if grad_norm > MAX_GRAD_NORM {
+            Some(format!("gradient norm {grad_norm:.3e} exceeds {MAX_GRAD_NORM:.3e}"))
         } else {
             None
         }
@@ -286,7 +288,7 @@ impl TrainGuard {
             attempt += 1;
             self.total_retries += 1;
             *state = snapshot;
-            self.lr_scale *= self.config.lr_backoff;
+            self.lr_scale *= LR_BACKOFF;
             state.set_lr_scale(self.lr_scale);
             nfm_obs::global().counter(self.telemetry.rollbacks, nfm_obs::Unit::Count).inc();
             nfm_obs::event(

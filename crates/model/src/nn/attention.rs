@@ -164,8 +164,9 @@ impl MultiHeadAttention {
 
     /// Every head's attention for the query rows of `q` over the positions
     /// of `k`/`v`: the concatenated head outputs (n×d) and each head's
-    /// probabilities (n×T). Heads are independent; par_map returns them in
-    /// head order, so the layout matches the sequential loop exactly.
+    /// probabilities (n×T). Heads are independent; `par_map_work` returns
+    /// them in head order, so the layout matches the sequential loop
+    /// exactly.
     fn attend_heads(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> (Matrix, Vec<Matrix>) {
         let d_head = self.d_model / self.n_heads;
         let costs = vec![attend_work(q.rows(), k.rows(), d_head); self.n_heads];

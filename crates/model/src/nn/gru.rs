@@ -110,8 +110,17 @@ impl GruCell {
         self.cache.clear();
     }
 
-    /// One step: h_t from (x_t, h_{t-1}); caches for backward when `train`.
-    pub fn step(&mut self, x: &[f32], h_prev: &[f32], train: bool) -> Vec<f32> {
+    /// One training step: h_t from (x_t, h_{t-1}), cached for
+    /// [`GruCell::step_backward`].
+    pub fn step(&mut self, x: &[f32], h_prev: &[f32]) -> Vec<f32> {
+        let (h_new, [z, r, n]) = self.gates(x, h_prev);
+        self.cache.push(StepCache { x: x.to_vec(), h_prev: h_prev.to_vec(), z, r, n });
+        h_new
+    }
+
+    /// One step without caching: h_t from (x_t, h_{t-1}) and the gate
+    /// activations `[z, r, n]` that produced it.
+    fn gates(&self, x: &[f32], h_prev: &[f32]) -> (Vec<f32>, [Vec<f32>; 3]) {
         assert_eq!(x.len(), self.d_in);
         assert_eq!(h_prev.len(), self.d_hidden);
         let h = self.d_hidden;
@@ -132,10 +141,7 @@ impl GruCell {
         for i in 0..h {
             h_new[i] = (1.0 - z[i]) * n[i] + z[i] * h_prev[i];
         }
-        if train {
-            self.cache.push(StepCache { x: x.to_vec(), h_prev: h_prev.to_vec(), z, r, n });
-        }
-        h_new
+        (h_new, [z, r, n])
     }
 
     /// Backward one step (pop the cache): given dL/dh_t, returns
@@ -257,7 +263,7 @@ impl GruClassifier {
         let x = self.embedding.forward(ids);
         let mut h = vec![0.0f32; self.d_hidden];
         for t in 0..ids.len() {
-            h = self.cell.step(x.row(t), &h, true);
+            h = self.cell.step(x.row(t), &h);
         }
         self.head.forward(&Matrix::from_vec(1, self.d_hidden, h))
     }
@@ -267,10 +273,8 @@ impl GruClassifier {
         assert!(!ids.is_empty());
         let x = self.embedding.lookup(ids);
         let mut h = vec![0.0f32; self.d_hidden];
-        let mut cell = self.cell.clone();
-        cell.reset();
         for t in 0..ids.len() {
-            h = cell.step(x.row(t), &h, false);
+            h = self.cell.gates(x.row(t), &h).0;
         }
         self.head.forward_inference(&Matrix::from_vec(1, self.d_hidden, h))
     }
@@ -320,13 +324,13 @@ mod tests {
         let mut cell = GruCell::new(&mut rng, 3, 4);
         let x = vec![0.5, -0.3, 0.8];
         let h_prev = vec![0.1, -0.2, 0.3, 0.0];
-        let h = cell.step(&x, &h_prev, true);
+        let h = cell.step(&x, &h_prev);
         // L = ½‖h‖² ⇒ dL/dh = h.
         let (dx, dh_prev) = cell.step_backward(&h);
 
         let eps = 1e-3;
-        let loss = |cell: &mut GruCell, x: &[f32], hp: &[f32]| -> f32 {
-            let h = cell.step(x, hp, false);
+        let loss = |cell: &GruCell, x: &[f32], hp: &[f32]| -> f32 {
+            let h = cell.gates(x, hp).0;
             0.5 * h.iter().map(|v| v * v).sum::<f32>()
         };
         // Check dx[0].
@@ -334,14 +338,14 @@ mod tests {
         xp[0] += eps;
         let mut xm = x.clone();
         xm[0] -= eps;
-        let numeric = (loss(&mut cell, &xp, &h_prev) - loss(&mut cell, &xm, &h_prev)) / (2.0 * eps);
+        let numeric = (loss(&cell, &xp, &h_prev) - loss(&cell, &xm, &h_prev)) / (2.0 * eps);
         assert!((numeric - dx[0]).abs() < 1e-3, "dx numeric {numeric} analytic {}", dx[0]);
         // Check dh_prev[1].
         let mut hp = h_prev.clone();
         hp[1] += eps;
         let mut hm = h_prev.clone();
         hm[1] -= eps;
-        let numeric = (loss(&mut cell, &x, &hp) - loss(&mut cell, &x, &hm)) / (2.0 * eps);
+        let numeric = (loss(&cell, &x, &hp) - loss(&cell, &x, &hm)) / (2.0 * eps);
         assert!(
             (numeric - dh_prev[1]).abs() < 1e-3,
             "dh numeric {numeric} analytic {}",
@@ -406,8 +410,7 @@ mod tests {
         let mut model = GruClassifier::new(&mut rng, 10, 4, 6, 2);
         let a = model.forward(&[1, 2, 3, 4]);
         let b = model.forward_inference(&[1, 2, 3, 4]);
-        for (x, y) in a.data().iter().zip(b.data()) {
-            assert!((x - y).abs() < 1e-5);
-        }
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a), bits(&b), "inference must compute the training forward's bits");
     }
 }

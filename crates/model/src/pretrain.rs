@@ -83,11 +83,9 @@ pub struct PretrainConfig {
     pub tasks: TaskMix,
     /// Divergence-detection thresholds and retry policy.
     pub guard: GuardConfig,
-    /// Directory for periodic on-disk snapshots (`None` disables).
+    /// Directory for the on-disk snapshot written after every epoch
+    /// (`None` disables).
     pub snapshot_dir: Option<PathBuf>,
-    /// Write a snapshot every this many epochs (the final epoch is always
-    /// snapshotted when `snapshot_dir` is set).
-    pub snapshot_every: usize,
     /// Resume from this snapshot file instead of starting fresh. The rest
     /// of the config must match the run that wrote it; training continues
     /// deterministically, bitwise-identical to an uninterrupted run.
@@ -108,7 +106,6 @@ impl Default for PretrainConfig {
             tasks: TaskMix::default(),
             guard: GuardConfig::default(),
             snapshot_dir: None,
-            snapshot_every: 1,
             resume_from: None,
             inject_nan_at: Vec::new(),
         }
@@ -569,26 +566,22 @@ pub fn pretrain(
         }
         nfm_obs::event("train.epoch", &fields);
         if let Some(dir) = &config.snapshot_dir {
-            let every = config.snapshot_every.max(1);
-            if (epoch + 1) % every == 0 || epoch + 1 == config.epochs {
-                std::fs::create_dir_all(dir)
-                    .map_err(nfm_tensor::checkpoint::CheckpointError::from)?;
-                let mut state = TrainState {
-                    next_epoch: epoch + 1,
-                    global_step: guard.global_step,
-                    total_retries: guard.total_retries,
-                    lr_scale: guard.lr_scale,
-                    mlm_loss: stats.mlm_loss.clone(),
-                    next_flow_loss: stats.next_flow_loss.clone(),
-                    encoder: st.encoder.clone(),
-                    mlm_head: st.mlm_head.clone(),
-                    nfp_head: st.nfp_head.clone(),
-                    opt_enc: st.opt_enc.clone(),
-                    opt_mlm: st.opt_mlm.clone(),
-                    opt_nfp: st.opt_nfp.clone(),
-                };
-                save_train_state(&dir.join(format!("snapshot_ep{}.nfmc", epoch + 1)), &mut state)?;
-            }
+            std::fs::create_dir_all(dir).map_err(nfm_tensor::checkpoint::CheckpointError::from)?;
+            let mut state = TrainState {
+                next_epoch: epoch + 1,
+                global_step: guard.global_step,
+                total_retries: guard.total_retries,
+                lr_scale: guard.lr_scale,
+                mlm_loss: stats.mlm_loss.clone(),
+                next_flow_loss: stats.next_flow_loss.clone(),
+                encoder: st.encoder.clone(),
+                mlm_head: st.mlm_head.clone(),
+                nfp_head: st.nfp_head.clone(),
+                opt_enc: st.opt_enc.clone(),
+                opt_mlm: st.opt_mlm.clone(),
+                opt_nfp: st.opt_nfp.clone(),
+            };
+            save_train_state(&dir.join(format!("snapshot_ep{}.nfmc", epoch + 1)), &mut state)?;
         }
     }
 
@@ -911,7 +904,6 @@ mod tests {
             epochs: 4,
             tasks: TaskMix::mlm_only(),
             snapshot_dir: Some(dir.clone()),
-            snapshot_every: 1,
             ..PretrainConfig::default()
         };
         let (mut full, _, full_stats) =

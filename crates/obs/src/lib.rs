@@ -22,8 +22,9 @@
 //!   `*.cost` histogram and attached to the span's JSONL event.
 //! * The JSONL sink ([`emit_metrics`]) skips every metric whose [`Unit`] is
 //!   wall-clock (`us`) unless `NFM_OBS_WALL` is set, so two seeded runs of
-//!   the same binary produce **byte-identical** event streams. Wall times
-//!   still appear in the rendered table ([`render_metrics`]).
+//!   the same binary produce **byte-identical** event streams. Without
+//!   it, wall times are read in process only, through
+//!   [`MetricsRegistry::snapshot`].
 //!
 //! # Usage
 //!
@@ -54,14 +55,12 @@
 #![forbid(unsafe_code)]
 
 mod metrics;
-mod render;
 mod sink;
 mod span;
 
 pub use metrics::{
     global, Counter, Gauge, Histogram, MetricSnapshot, MetricValue, MetricsRegistry, Unit,
 };
-pub use render::render_metrics;
 pub use sink::{
     disable, emit_metrics, emit_table, enabled, event, flush, install_buffer, set_writer, Value,
 };

@@ -28,7 +28,7 @@ pub enum Unit {
 }
 
 impl Unit {
-    /// The stable string form used in JSONL records and rendered tables.
+    /// The stable string form used in JSONL records.
     pub fn as_str(self) -> &'static str {
         match self {
             Unit::Count => "count",

@@ -139,19 +139,18 @@ impl Drop for WorkerFlag {
     }
 }
 
-/// The one dispatch loop behind [`par_map`] and [`par_map_work`]. With one
-/// thread the tasks run inline on the caller in index order, flag
-/// untouched, on one state that `init` builds only when there is a task;
-/// nothing is timed and `order` is never built. Otherwise every thread
-/// takes the next position of `order()` from one atomic counter until none
-/// is left, building its state with `init` on its first task, and
-/// `threads − 1` scoped workers join the calling thread, which runs the same
-/// loop under [`WorkerFlag`]. A spawning dispatch times each task into
-/// `pool.task.wall_us` and records the capacity its threads spent outside
-/// tasks (threads × wall − task time: spawns, `init`, the tail wait) in
-/// `pool.dispatch.idle_us`; both are wall-clock metrics, rendered in tables
-/// and kept out of the JSONL. Results come back in task order whoever ran
-/// them.
+/// The dispatch loop behind [`par_map_work`]. With one thread the tasks
+/// run inline on the caller in index order, flag untouched, on one state
+/// that `init` builds only when there is a task; nothing is timed and
+/// `order` is never built. Otherwise every thread takes the next position
+/// of `order()` from one atomic counter until none is left, building its
+/// state with `init` on its first task, and `threads − 1` scoped workers
+/// join the calling thread, which runs the same loop under [`WorkerFlag`].
+/// A spawning dispatch times each task into `pool.task.wall_us` and
+/// records the capacity its threads spent outside tasks (threads × wall −
+/// task time: spawns, `init`, the tail wait) in `pool.dispatch.idle_us`;
+/// both are wall-clock metrics, kept out of the JSONL unless `NFM_OBS_WALL`
+/// is set. Results come back in task order whoever ran them.
 fn dispatch<S, R, O, I, F>(threads: usize, n_tasks: usize, order: O, init: I, f: F) -> Vec<R>
 where
     R: Send,
@@ -210,40 +209,6 @@ where
     slots.into_iter().map(|s| s.expect("pool task not executed")).collect()
 }
 
-/// Count a dispatch in the `pool.*` metrics and run it on every effective
-/// worker, the calling thread included; `order()` is the order a spawning
-/// dispatch deals the tasks in.
-fn fan_out<S, R, O, I, F>(n_tasks: usize, order: O, init: I, f: F) -> Vec<R>
-where
-    R: Send,
-    O: FnOnce() -> Vec<usize>,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
-    let threads = effective_threads().min(n_tasks);
-    nfm_obs::counter!("pool.par_map.calls").inc();
-    nfm_obs::counter!("pool.par_map.tasks").add(n_tasks as u64);
-    // Gauge writes are last-write-wins; restricting them to the main thread
-    // keeps the final snapshot value deterministic (workers would race).
-    if !IN_WORKER.with(Cell::get) {
-        nfm_obs::gauge!("pool.threads.effective").set(threads.max(1) as f64);
-    }
-    dispatch(threads, n_tasks, order, init, f)
-}
-
-/// Run `f(task_index)` for every task, returning results in task order.
-/// Tasks are handed out in index order through an atomic counter, so
-/// scheduling is nondeterministic — callers must ensure tasks are
-/// independent (they get `&self`-style shared access only). The returned
-/// ordering is always by task index regardless of which thread ran what.
-pub fn par_map<R, F>(n_tasks: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    fan_out(n_tasks, || (0..n_tasks).collect(), || (), |_, i| f(i))
-}
-
 /// Minimum total work (in flop-like units) before [`par_map_work`] spawns
 /// threads. Mirrors the matmul gate: workers are scoped OS threads
 /// (~tens of µs to spawn), so fanning out below roughly a million
@@ -269,10 +234,11 @@ fn costliest_first(costs: &[usize]) -> Vec<usize> {
 ///
 /// The costs are the caller's estimates in flop-like units. Below a total
 /// of [`PAR_WORK_MIN`] (or with one effective worker) the tasks run inline
-/// in index order on one state, spawning nothing; above it they go out
-/// costliest first, ties by index. Results are bitwise identical on either
-/// path, so the gate and the order are performance decisions, never
-/// correctness ones.
+/// in index order on one state, spawning nothing and counting nothing;
+/// above it the dispatch counts in the `pool.par_map.*` metrics and its
+/// tasks go out costliest first, ties by index. Results are bitwise
+/// identical on either path, so the gate and the order are performance
+/// decisions, never correctness ones.
 pub fn par_map_work<S, R, I, F>(costs: &[usize], init: I, f: F) -> Vec<R>
 where
     R: Send,
@@ -280,10 +246,17 @@ where
     F: Fn(&mut S, usize) -> R + Sync,
 {
     let total = costs.iter().fold(0usize, |sum, &c| sum.saturating_add(c));
-    if total < PAR_WORK_MIN || effective_threads() <= 1 {
+    let threads = effective_threads();
+    if total < PAR_WORK_MIN || threads <= 1 {
         return dispatch(1, costs.len(), Vec::new, init, f);
     }
-    fan_out(costs.len(), || costliest_first(costs), init, f)
+    let threads = threads.min(costs.len());
+    nfm_obs::counter!("pool.par_map.calls").inc();
+    nfm_obs::counter!("pool.par_map.tasks").add(costs.len() as u64);
+    // Gauge writes are last-write-wins: a worker never gets here (its
+    // effective thread count is 1), so workers cannot race on the value.
+    nfm_obs::gauge!("pool.threads.effective").set(threads as f64);
+    dispatch(threads, costs.len(), || costliest_first(costs), init, f)
 }
 
 /// Split `data` into chunks of `chunk_len` elements and run
@@ -409,9 +382,9 @@ mod tests {
     }
 
     #[test]
-    fn par_map_preserves_task_order() {
+    fn par_map_work_preserves_task_order() {
         set_threads(4);
-        let out = par_map(100, |i| i * 3);
+        let out = par_map_work(&[PAR_WORK_MIN; 100], || (), |_, i| i * 3);
         set_threads(0);
         assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>());
     }
@@ -443,13 +416,13 @@ mod tests {
     #[test]
     fn nested_calls_degrade_to_sequential() {
         set_threads(4);
-        let nested = par_map(4, |_| effective_threads());
+        let nested = par_map_work(&[PAR_WORK_MIN; 4], || (), |_, _| effective_threads());
         set_threads(0);
         assert!(nested.iter().all(|&t| t == 1), "workers must not nest: {nested:?}");
     }
 
     #[test]
-    fn par_map_work_gates_small_jobs_and_matches_par_map() {
+    fn par_map_work_gates_small_jobs() {
         set_threads(4);
         let small = par_map_work(&[12; 8], || (), |_, i| i * 7);
         let big = par_map_work(&[PAR_WORK_MIN / 4; 8], || (), |_, i| i * 7);

@@ -281,19 +281,17 @@ pub struct ReplicaFault {
 /// Distribution-drift process for serving scenarios; magnitudes in [0, 1].
 ///
 /// Unlike [`ReplicaFault`] (which breaks replicas), this shifts the
-/// *workload*: after `onset_burst`, traffic is generated from an app mix
-/// blended away from the baseline by `mix_shift` (covariate drift), and
-/// ground-truth labels are remapped with `label_flip_chance` per class
-/// (label/concept drift).
+/// *workload*: drifted traffic is generated from an app mix blended away
+/// from the baseline by `mix_shift` (covariate drift), and its ground-truth
+/// labels are remapped with `label_flip_chance` per class (label/concept
+/// drift). The harness chooses when drifted traffic starts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftFaultConfig {
-    /// Burst (cluster tick) index at which the drift begins.
-    pub onset_burst: usize,
     /// How far the app mix moves toward its reversed weight order: 0 keeps
     /// the baseline mix, 1 fully reverses the popularity ranking.
     pub mix_shift: f64,
     /// Probability per class that its ground-truth label is remapped to a
-    /// different class after onset.
+    /// different class in drifted traffic.
     pub label_flip_chance: f64,
     /// Seed for the label-remap draw.
     pub seed: u64,
@@ -301,7 +299,7 @@ pub struct DriftFaultConfig {
 
 impl Default for DriftFaultConfig {
     fn default() -> Self {
-        DriftFaultConfig { onset_burst: 0, mix_shift: 0.0, label_flip_chance: 0.0, seed: 1 }
+        DriftFaultConfig { mix_shift: 0.0, label_flip_chance: 0.0, seed: 1 }
     }
 }
 
@@ -344,7 +342,7 @@ impl DriftFaultConfig {
         crate::netsim::AppMix { weights }
     }
 
-    /// Deterministic post-onset label remap: for each of `n_classes`
+    /// Deterministic label remap for drifted traffic: for each of `n_classes`
     /// classes, with `label_flip_chance` the label is redirected to a
     /// different class (drawn under `seed`); otherwise it maps to itself.
     pub fn label_map(&self, n_classes: usize) -> Vec<usize> {
