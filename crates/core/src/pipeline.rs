@@ -423,11 +423,13 @@ impl Trainee for FineTuneState<'_, '_> {
         // Fixed microbatch shards (boundaries depend only on the batch
         // length) run in parallel on one replica per worker (the head alone
         // when the encoder is frozen); the reduction below folds them in
-        // shard order. Work-gated: forward+backward ≈ 3× the inference MACs,
-        // and below the gate the spawn + replica-clone + grad-reduce overhead
-        // beats any parallel win.
+        // shard order. Work-gated: training the encoder costs forward +
+        // backward ≈ 3× the inference MACs, a frozen encoder runs its
+        // inference forward alone (1×), and below the gate the spawn +
+        // replica-clone + grad-reduce overhead beats any parallel win.
+        let passes = if freeze_encoder { 1 } else { 3 };
         let example_cost =
-            |&idx: &usize| 3 * self.encoder.inference_cost(self.encoded[idx].0.len()) as usize;
+            |&idx: &usize| passes * self.encoder.inference_cost(self.encoded[idx].0.len()) as usize;
         let shards = tpool::shard_ranges(idxs.len(), tpool::REDUCE_SHARDS);
         let costs: Vec<usize> =
             shards.iter().map(|r| idxs[r.clone()].iter().map(example_cost).sum()).collect();

@@ -1,13 +1,14 @@
 //! A dense row-major f32 matrix with the operations the model stack needs:
-//! cache-blocked, row-parallel matmul (plain and transposed variants),
-//! broadcasting adds, row-wise softmax, and elementwise maps.
+//! cache-blocked matmul (plain and transposed variants), broadcasting adds,
+//! row-wise softmax, and elementwise maps.
 //!
-//! All kernels are deterministic at every thread count: output rows are
-//! disjoint shards, and each output element's accumulation order is a pure
-//! function of the shapes (tile loops keep the inner `p` index globally
-//! ascending; every `matmul_nt` element keeps `dot`'s eight lanes and fixed
-//! reduction tree, whichever of its kernels runs), so the tiled parallel
-//! kernels produce bitwise-identical results to their sequential forms.
+//! Every kernel is one sequential loop over its whole output, and each
+//! output element's accumulation order is a pure function of the shapes
+//! (tile loops keep the inner `p` index globally ascending; every
+//! `matmul_nt` element keeps `dot`'s eight lanes and fixed reduction tree,
+//! whichever of its kernels runs), so the tiled kernels produce
+//! bitwise-identical results to their untiled forms. Parallelism lives a
+//! level up, in [`crate::pool::par_map_work`]'s tasks.
 
 use std::fmt;
 
@@ -17,36 +18,15 @@ use crate::pool;
 const TILE_K: usize = 64;
 /// Tile width along the output-column (`n`) dimension of matmuls.
 const TILE_N: usize = 256;
-/// Minimum multiply-add count before a matmul fans out across threads.
-/// Workers are scoped OS threads, so the spawn cost (~tens of µs) must be
-/// amortised by several milliseconds of kernel time before fanning out
-/// wins. Bench data showed the previous 2^20 gate admitting sub-millisecond
-/// calls (96×256·256×256 ≈ 6M MACs ≈ 0.8 ms) where the spawn overhead ate
-/// the entire speedup; at 2^25 MACs (~4 ms single-threaded) the overhead is
-/// a few percent and parallel dispatch wins outright on every shape that
-/// clears the gate.
-const PAR_FLOPS_MIN: usize = 1 << 25;
 /// Fewest rows of `a` for which `matmul_nt` at `k = 8` pays for the
 /// transposed copy of `b`. In a single-thread probe at n = 26 and 13 the
 /// column kernel ran about 0.5× of `dot` with one row, 0.6–0.9× with two,
 /// 1.0–1.1× with three and 1.2–1.3× with four.
 const NT_ONE_CHUNK_ROWS_MIN: usize = 4;
 
-/// Rows per parallel chunk for an op of `work` total scalar operations over
-/// `rows` independent rows; `rows` (one chunk → sequential) when threading
-/// isn't worthwhile.
-fn row_chunk(rows: usize, work: usize) -> usize {
-    let threads = pool::effective_threads();
-    if threads <= 1 || work < PAR_FLOPS_MIN || rows == 0 {
-        rows.max(1)
-    } else {
-        rows.div_ceil(threads)
-    }
-}
-
-/// `out[r][j] += sum_p a[row0+r][p] * b[p][j]` for the chunk's rows, tiled
-/// over `(p, j)`. The `p` index ascends globally per output element, so the
-/// result is bitwise identical to the untiled `ikj` loop.
+/// `out[r][j] += sum_p a[r][p] * b[p][j]`, tiled over `(p, j)`. The `p`
+/// index ascends globally per output element, so the result is bitwise
+/// identical to the untiled `ikj` loop.
 ///
 /// The hot path is a 4×8 register tile: four output rows by eight columns
 /// of accumulators live in vector registers across the whole `p` loop, so
@@ -54,8 +34,8 @@ fn row_chunk(rows: usize, work: usize) -> usize {
 /// per tile instead of once per `p`. Tiling only regroups *which elements*
 /// share a pass — each element still starts from its current value and
 /// accumulates over `p` ascending — so the output is bitwise identical to
-/// the scalar form at any row count, shape, or chunk boundary.
-fn matmul_rows(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, k: usize, n: usize) {
+/// the scalar form at any row count or shape.
+fn matmul_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
     if n == 0 {
         return;
     }
@@ -66,10 +46,10 @@ fn matmul_rows(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, k: usize, n: 
             let pw = TILE_K.min(k - pb);
             let mut r = 0;
             while r + 4 <= rows {
-                let a0 = &a[(row0 + r) * k..][..k];
-                let a1 = &a[(row0 + r + 1) * k..][..k];
-                let a2 = &a[(row0 + r + 2) * k..][..k];
-                let a3 = &a[(row0 + r + 3) * k..][..k];
+                let a0 = &a[r * k..][..k];
+                let a1 = &a[(r + 1) * k..][..k];
+                let a2 = &a[(r + 2) * k..][..k];
+                let a3 = &a[(r + 3) * k..][..k];
                 let mut j = 0;
                 while j + 8 <= jw {
                     let col = jb + j;
@@ -113,7 +93,7 @@ fn matmul_rows(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, k: usize, n: 
                 r += 4;
             }
             for r in r..rows {
-                let a_row = &a[(row0 + r) * k..][..k];
+                let a_row = &a[r * k..][..k];
                 let o_row = &mut out[r * n + jb..][..jw];
                 for p in pb..pb + pw {
                     let av = a_row[p];
@@ -127,23 +107,15 @@ fn matmul_rows(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, k: usize, n: 
     }
 }
 
-/// `out[row0+r][j] += sum_p a[p][row0+r] * b[p][j]` (aᵀ·b) for the chunk's
-/// rows; `a` is `k × m` and read down columns, `b` streams row-wise.
+/// `out[r][j] += sum_p a[p][r] * b[p][j]` (aᵀ·b); `a` is `k × m` and read
+/// down columns, `b` streams row-wise.
 ///
 /// The same 4×8 register tile as [`matmul_rows`], with the transposed read:
 /// the four rows' operands for one `p` are four adjacent values of `a`'s
 /// row `p`. Each element still starts from its current value and
 /// accumulates over `p` ascending, so the output is bitwise identical to
-/// the scalar form at any row count, shape, or chunk boundary.
-fn matmul_tn_rows(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    row0: usize,
-    k: usize,
-    m: usize,
-    n: usize,
-) {
+/// the scalar form at any row count or shape.
+fn matmul_tn_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
     if n == 0 {
         return;
     }
@@ -154,7 +126,6 @@ fn matmul_tn_rows(
             let pw = TILE_K.min(k - pb);
             let mut r = 0;
             while r + 4 <= rows {
-                let i = row0 + r;
                 let mut j = 0;
                 while j + 8 <= jw {
                     let col = jb + j;
@@ -167,7 +138,7 @@ fn matmul_tn_rows(
                     acc2.copy_from_slice(&out[(r + 2) * n + col..][..8]);
                     acc3.copy_from_slice(&out[(r + 3) * n + col..][..8]);
                     for p in pb..pb + pw {
-                        let a4 = &a[p * m + i..][..4];
+                        let a4 = &a[p * m + r..][..4];
                         let (v0, v1, v2, v3) = (a4[0], a4[1], a4[2], a4[3]);
                         let b8 = &b[p * n + col..][..8];
                         for l in 0..8 {
@@ -186,7 +157,7 @@ fn matmul_tn_rows(
                 if j < jw {
                     // Column remainder (< 8 wide): plain per-p accumulation.
                     for p in pb..pb + pw {
-                        let a4 = &a[p * m + i..][..4];
+                        let a4 = &a[p * m + r..][..4];
                         let (v0, v1, v2, v3) = (a4[0], a4[1], a4[2], a4[3]);
                         let b_row = &b[p * n + jb + j..][..jw - j];
                         for (l, &bv) in b_row.iter().enumerate() {
@@ -200,10 +171,9 @@ fn matmul_tn_rows(
                 r += 4;
             }
             for r in r..rows {
-                let i = row0 + r;
                 let o_row = &mut out[r * n + jb..][..jw];
                 for p in pb..pb + pw {
-                    let av = a[p * m + i];
+                    let av = a[p * m + r];
                     let b_row = &b[p * n + jb..][..jw];
                     for (o, &bv) in o_row.iter_mut().zip(b_row) {
                         *o += av * bv;
@@ -264,19 +234,19 @@ fn dot_2x1(a0: &[f32], a1: &[f32], b: &[f32]) -> [f32; 2] {
     [reduce_lanes(&lanes[0], tail[0]), reduce_lanes(&lanes[1], tail[1])]
 }
 
-/// `out[r][j] = dot(a[row0+r], b[j])` for the chunk's rows (a·bᵀ), two rows
-/// at a time ([`dot_2x1`], so each row of `b` is read once per row pair),
-/// with `dot` for an odd last row. Every element has `dot`'s bits whichever
-/// computes it. A 2×2 tile (two rows of `b` as well) and a 1×2 tile ran at
-/// about half of `dot`'s speed at k = 32–401: LLVM vectorises their sums
-/// across outputs instead of across lanes, with shuffles and spills.
-fn matmul_nt_rows(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, k: usize, n: usize) {
+/// `out[r][j] = dot(a[r], b[j])` (a·bᵀ), two rows at a time ([`dot_2x1`],
+/// so each row of `b` is read once per row pair), with `dot` for an odd
+/// last row. Every element has `dot`'s bits whichever computes it. A 2×2
+/// tile (two rows of `b` as well) and a 1×2 tile ran at about half of
+/// `dot`'s speed at k = 32–401: LLVM vectorises their sums across outputs
+/// instead of across lanes, with shuffles and spills.
+fn matmul_nt_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
     if n == 0 {
         return;
     }
     // The row left over after the pairs, when the row count is odd.
     let odd_row = (out.len() / n) & !1;
-    let a_row = |r: usize| &a[(row0 + r) * k..][..k];
+    let a_row = |r: usize| &a[r * k..][..k];
     let b_row = |j: usize| &b[j * k..][..k];
     let mut pairs = out.chunks_exact_mut(2 * n);
     for (r2, o_pair) in pairs.by_ref().enumerate() {
@@ -301,7 +271,7 @@ fn matmul_nt_rows(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, k: usize, 
 /// so the loop over a row's output columns reads each `bt` row contiguously
 /// and vectorises, four columns to a vector register, each column in
 /// exactly that order.
-fn matmul_nt_rows_one_chunk(a: &[f32], bt: &[f32], out: &mut [f32], row0: usize, n: usize) {
+fn matmul_nt_rows_one_chunk(a: &[f32], bt: &[f32], out: &mut [f32], n: usize) {
     if n == 0 {
         return;
     }
@@ -309,7 +279,7 @@ fn matmul_nt_rows_one_chunk(a: &[f32], bt: &[f32], out: &mut [f32], row0: usize,
     let (b0, b1, b2, b3) = (bt_row(0), bt_row(1), bt_row(2), bt_row(3));
     let (b4, b5, b6, b7) = (bt_row(4), bt_row(5), bt_row(6), bt_row(7));
     for (r, o_row) in out.chunks_exact_mut(n).enumerate() {
-        let a_row = &a[(row0 + r) * 8..][..8];
+        let a_row = &a[r * 8..][..8];
         for (j, o) in o_row.iter_mut().enumerate() {
             let lane = |p: usize, bt_p: &[f32]| 0.0 + a_row[p] * bt_p[j];
             let s04_15 = (lane(0, b0) + lane(4, b4)) + (lane(1, b1) + lane(5, b5));
@@ -433,11 +403,7 @@ impl Matrix {
         nfm_obs::counter!("tensor.matmul.calls").inc();
         nfm_obs::counter!("tensor.matmul.macs", nfm_obs::Unit::Macs).add((m * k * n) as u64);
         let mut out = Matrix::zeros(m, n);
-        let (a, b) = (&self.data, &other.data);
-        let chunk_rows = row_chunk(m, m * k * n);
-        pool::par_chunks_mut(&mut out.data, chunk_rows * n, |offset, chunk| {
-            matmul_rows(a, b, chunk, offset / n.max(1), k, n);
-        });
+        matmul_rows(&self.data, &other.data, &mut out.data, k, n);
         out
     }
 
@@ -449,11 +415,7 @@ impl Matrix {
         nfm_obs::counter!("tensor.matmul_tn.calls").inc();
         nfm_obs::counter!("tensor.matmul.macs", nfm_obs::Unit::Macs).add((m * k * n) as u64);
         let mut out = Matrix::zeros(m, n);
-        let (a, b) = (&self.data, &other.data);
-        let chunk_rows = row_chunk(m, m * k * n);
-        pool::par_chunks_mut(&mut out.data, chunk_rows * n, |offset, chunk| {
-            matmul_tn_rows(a, b, chunk, offset / n.max(1), k, m, n);
-        });
+        matmul_tn_rows(&self.data, &other.data, &mut out.data, k, m, n);
         out
     }
 
@@ -474,160 +436,92 @@ impl Matrix {
         nfm_obs::counter!("tensor.matmul.macs", nfm_obs::Unit::Macs).add((m * k * n) as u64);
         let mut out = Matrix::zeros(m, n);
         let (a, b) = (&self.data, &other.data);
-        let one_chunk = k == 8 && m >= NT_ONE_CHUNK_ROWS_MIN;
-        let mut bt = Vec::new();
-        if one_chunk {
-            bt.resize(8 * n, 0.0);
+        if k == 8 && m >= NT_ONE_CHUNK_ROWS_MIN {
+            let mut bt = vec![0.0; 8 * n];
             for j in 0..n {
                 for p in 0..8 {
                     bt[p * n + j] = b[j * 8 + p];
                 }
             }
+            matmul_nt_rows_one_chunk(a, &bt, &mut out.data, n);
+        } else {
+            matmul_nt_rows(a, b, &mut out.data, k, n);
         }
-        let chunk_rows = row_chunk(m, m * k * n);
-        pool::par_chunks_mut(&mut out.data, chunk_rows * n, |offset, chunk| {
-            let row0 = offset / n.max(1);
-            if one_chunk {
-                matmul_nt_rows_one_chunk(a, &bt, chunk, row0, n);
-            } else {
-                matmul_nt_rows(a, b, chunk, row0, k, n);
-            }
-        });
         out
     }
 
-    /// Transposed copy (tiled over the source rows, parallel over output
-    /// rows).
+    /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
-        let (r, c) = (self.rows, self.cols);
-        let mut out = Matrix::zeros(c, r);
-        if r == 0 || c == 0 {
-            return out;
-        }
-        let src = &self.data;
-        let chunk_rows = row_chunk(c, r * c);
-        pool::par_chunks_mut(&mut out.data, chunk_rows * r, |offset, chunk| {
-            let col0 = offset / r;
-            let rows = chunk.len() / r;
-            const TILE_ROWS: usize = 64;
-            for rb in (0..r).step_by(TILE_ROWS) {
-                let rw = TILE_ROWS.min(r - rb);
-                for (i, o_row) in chunk.chunks_mut(r).enumerate().take(rows) {
-                    let col = col0 + i;
-                    for rr in rb..rb + rw {
-                        o_row[rr] = src[rr * c + col];
-                    }
-                }
-            }
-        });
-        out
+        Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
     }
 
     /// Elementwise `self += other`.
     pub fn add_assign(&mut self, other: &Matrix) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let src = &other.data;
-        pool::par_chunks_mut(&mut self.data, pool::elem_chunk(src.len()), |offset, chunk| {
-            let n = chunk.len();
-            for (a, &b) in chunk.iter_mut().zip(&src[offset..offset + n]) {
-                *a += b;
-            }
-        });
+        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+            *a += b;
+        }
     }
 
     /// Elementwise `self -= other`.
     pub fn sub_assign(&mut self, other: &Matrix) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let src = &other.data;
-        pool::par_chunks_mut(&mut self.data, pool::elem_chunk(src.len()), |offset, chunk| {
-            let n = chunk.len();
-            for (a, &b) in chunk.iter_mut().zip(&src[offset..offset + n]) {
-                *a -= b;
-            }
-        });
+        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+            *a -= b;
+        }
     }
 
     /// Add `bias` (length `cols`) to every row.
     pub fn add_row_broadcast(&mut self, bias: &[f32]) {
         assert_eq!(bias.len(), self.cols);
-        let cols = self.cols;
-        if cols == 0 {
+        if self.cols == 0 {
             return;
         }
-        let chunk_rows = row_chunk(self.rows, self.rows * cols);
-        pool::par_chunks_mut(&mut self.data, chunk_rows * cols, |_, chunk| {
-            for row in chunk.chunks_mut(cols) {
-                for (a, &b) in row.iter_mut().zip(bias) {
-                    *a += b;
-                }
+        for row in self.data.chunks_mut(self.cols) {
+            for (a, &b) in row.iter_mut().zip(bias) {
+                *a += b;
             }
-        });
+        }
     }
 
     /// Multiply all elements by `s`.
     pub fn scale(&mut self, s: f32) {
-        pool::par_chunks_mut(
-            &mut self.data,
-            pool::elem_chunk(self.rows * self.cols),
-            |_, chunk| {
-                for a in chunk {
-                    *a *= s;
-                }
-            },
-        );
+        for a in &mut self.data {
+            *a *= s;
+        }
     }
 
     /// Elementwise map into a new matrix.
-    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Matrix {
-        let mut data = vec![0.0f32; self.data.len()];
-        let src = &self.data;
-        pool::par_chunks_mut(&mut data, pool::elem_chunk(src.len()), |offset, chunk| {
-            let n = chunk.len();
-            for (o, &x) in chunk.iter_mut().zip(&src[offset..offset + n]) {
-                *o = f(x);
-            }
-        });
+    pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
+        let data = self.data.iter().map(|&x| f(x)).collect();
         Matrix { rows: self.rows, cols: self.cols, data }
     }
 
     /// Elementwise `f(self, other)` into a new matrix.
-    pub fn zip_map(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32 + Sync) -> Matrix {
+    pub fn zip_map(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let mut data = vec![0.0f32; self.data.len()];
-        let (a, b) = (&self.data, &other.data);
-        pool::par_chunks_mut(&mut data, pool::elem_chunk(a.len()), |offset, chunk| {
-            let n = chunk.len();
-            let src = a[offset..offset + n].iter().zip(&b[offset..offset + n]);
-            for (o, (&x, &y)) in chunk.iter_mut().zip(src) {
-                *o = f(x, y);
-            }
-        });
+        let data = self.data.iter().zip(&other.data).map(|(&x, &y)| f(x, y)).collect();
         Matrix { rows: self.rows, cols: self.cols, data }
     }
 
-    /// Numerically-stable softmax applied to each row in place (rows are
-    /// independent, so row shards parallelize without changing any bits).
+    /// Numerically-stable softmax applied to each row in place.
     pub fn softmax_rows(&mut self) {
-        let cols = self.cols;
-        if cols == 0 {
+        if self.cols == 0 {
             return;
         }
-        let chunk_rows = row_chunk(self.rows, self.rows * cols * 4);
-        pool::par_chunks_mut(&mut self.data, chunk_rows * cols, |_, chunk| {
-            for row in chunk.chunks_mut(cols) {
-                let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let mut sum = 0.0;
+        for row in self.data.chunks_mut(self.cols) {
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let mut sum = 0.0;
+            for v in row.iter_mut() {
+                *v = (*v - max).exp();
+                sum += *v;
+            }
+            if sum > 0.0 {
                 for v in row.iter_mut() {
-                    *v = (*v - max).exp();
-                    sum += *v;
-                }
-                if sum > 0.0 {
-                    for v in row.iter_mut() {
-                        *v /= sum;
-                    }
+                    *v /= sum;
                 }
             }
-        });
+        }
     }
 
     /// Index of the max element in each row. NaN entries compare as
@@ -858,9 +752,7 @@ mod tests {
         // Random non-integer data: unlike small integers, its partial sums
         // round, so any reordering of an element's sum changes its bits.
         // The shapes (m, k, n) straddle the 4-row and 8-column register
-        // tiles, TILE_K and TILE_N (5×70·70×300). The last clears
-        // PAR_FLOPS_MIN, so with several workers the kernels run
-        // row-chunked, on chunks that start off the 4-row grid.
+        // tiles, TILE_K and TILE_N (5×70·70×300).
         // matmul_nt runs its column kernel only at k = 8 with four rows or
         // more: (26, 6, 26) is `dot`'s tail alone, as in the golden
         // digests' heads; (7, 8, 1), (5, 8, 3) and (9, 8, 6) have fewer
@@ -898,7 +790,6 @@ mod tests {
             (7, 24, 13),
             (9, 401, 64),
         ];
-        assert!(shapes.iter().any(|&(m_, k_, n_)| m_ * k_ * n_ >= PAR_FLOPS_MIN));
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         for (m_, k_, n_) in shapes {
             let a = crate::init::normal(&mut rng, m_, k_, 1.0);
@@ -927,84 +818,6 @@ mod tests {
             assert!(got.data().iter().all(|v| v.to_bits() == 0), "matmul_nt -0.0 at k = {k_}");
             assert_eq!(eight_lanes(a.row(0), b.row(0)).to_bits(), 0);
         }
-    }
-
-    /// Emulate the parallel dispatch by running the row kernels over
-    /// manually split output chunks and comparing against the one-chunk
-    /// call. This covers the shard-boundary arithmetic directly, without
-    /// depending on the host's core count or the `PAR_FLOPS_MIN` gate
-    /// (which small test shapes no longer clear).
-    #[test]
-    fn row_kernels_are_chunk_boundary_invariant() {
-        let (m_, k_, n_) = (13, 70, 37);
-        let a = int_matrix(m_, k_, 5);
-        let b = int_matrix(k_, n_, 6);
-        let at = a.transpose();
-        let bt = b.transpose();
-        for split in [1usize, 2, 3, 5, 12] {
-            let mut whole = vec![0.0f32; m_ * n_];
-            let mut parts = vec![0.0f32; m_ * n_];
-            matmul_rows(a.data(), b.data(), &mut whole, 0, k_, n_);
-            for r in shard_test_ranges(m_, split) {
-                matmul_rows(
-                    a.data(),
-                    b.data(),
-                    &mut parts[r.start * n_..r.end * n_],
-                    r.start,
-                    k_,
-                    n_,
-                );
-            }
-            assert_eq!(whole, parts, "matmul_rows split {split}");
-
-            let mut whole_tn = vec![0.0f32; m_ * n_];
-            let mut parts_tn = vec![0.0f32; m_ * n_];
-            matmul_tn_rows(at.data(), b.data(), &mut whole_tn, 0, k_, m_, n_);
-            for r in shard_test_ranges(m_, split) {
-                matmul_tn_rows(
-                    at.data(),
-                    b.data(),
-                    &mut parts_tn[r.start * n_..r.end * n_],
-                    r.start,
-                    k_,
-                    m_,
-                    n_,
-                );
-            }
-            assert_eq!(whole_tn, parts_tn, "matmul_tn_rows split {split}");
-
-            let mut whole_nt = vec![0.0f32; m_ * n_];
-            let mut parts_nt = vec![0.0f32; m_ * n_];
-            matmul_nt_rows(a.data(), bt.data(), &mut whole_nt, 0, k_, n_);
-            for r in shard_test_ranges(m_, split) {
-                matmul_nt_rows(
-                    a.data(),
-                    bt.data(),
-                    &mut parts_nt[r.start * n_..r.end * n_],
-                    r.start,
-                    k_,
-                    n_,
-                );
-            }
-            assert_eq!(whole_nt, parts_nt, "matmul_nt_rows split {split}");
-
-            // The one-chunk kernel reads b (n×8) as its 8×n transpose.
-            let a8 = int_matrix(m_, 8, 7);
-            let b8t = int_matrix(8, n_, 8);
-            let mut whole_8 = vec![0.0f32; m_ * n_];
-            let mut parts_8 = vec![0.0f32; m_ * n_];
-            matmul_nt_rows_one_chunk(a8.data(), b8t.data(), &mut whole_8, 0, n_);
-            for r in shard_test_ranges(m_, split) {
-                let part = &mut parts_8[r.start * n_..r.end * n_];
-                matmul_nt_rows_one_chunk(a8.data(), b8t.data(), part, r.start, n_);
-            }
-            assert_eq!(whole_8, parts_8, "matmul_nt_rows_one_chunk split {split}");
-        }
-    }
-
-    fn shard_test_ranges(rows: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
-        let chunk = rows.div_ceil(parts);
-        (0..rows).step_by(chunk.max(1)).map(|s| s..(s + chunk).min(rows)).collect()
     }
 
     #[test]

@@ -57,12 +57,9 @@ pub fn clip_global_norm(model: &mut dyn Module, max_norm: f32) -> f32 {
     if norm > max_norm && norm > 0.0 {
         let scale = max_norm / norm;
         model.visit_params(&mut |_, g| {
-            let chunk_len = pool::elem_chunk(g.len());
-            pool::par_chunks_mut(g, chunk_len, |_, chunk| {
-                for v in chunk {
-                    *v *= scale;
-                }
-            });
+            for v in g {
+                *v *= scale;
+            }
         });
     }
     norm
@@ -346,6 +343,43 @@ mod tests {
 
     fn bits(xs: &[f32]) -> Vec<u32> {
         xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A slot's sum of squares: one sequential sum below 4096 elements,
+    /// otherwise the in-order fold of its `REDUCE_SHARDS` shard sums.
+    fn slot_sum_sq(g: &[f32]) -> f32 {
+        let seq = |xs: &[f32]| xs.iter().fold(0.0f32, |acc, v| acc + v * v);
+        if g.len() < 4096 {
+            return seq(g);
+        }
+        let shards = pool::shard_ranges(g.len(), pool::REDUCE_SHARDS);
+        shards.into_iter().fold(0.0f32, |acc, r| acc + seq(&g[r]))
+    }
+
+    #[test]
+    fn clip_global_norm_matches_the_shard_fold_and_scale_bitwise() {
+        let mut rng = StdRng::seed_from_u64(18);
+        let mut model = Slots([5, 4096, 10_007].map(|len| (vec![0.0; len], vec![0.0; len])).into());
+        // Several draws: a reordered fold can keep the bits of one draw.
+        for draw in 0..8 {
+            set_random_grads(&mut rng, &mut model);
+            let grads: Vec<Vec<f32>> = model.0.iter().map(|(_, g)| g.clone()).collect();
+            for g in &grads {
+                let (got, want) = (pool::sum_sq(g), slot_sum_sq(g));
+                let len = g.len();
+                assert_eq!(got.to_bits(), want.to_bits(), "sum of squares, {len} elements, {draw}");
+            }
+            let want_norm = grads.iter().fold(0.0f32, |acc, g| acc + slot_sum_sq(g)).sqrt();
+            let max_norm = 1.0;
+            let norm = clip_global_norm(&mut model, max_norm);
+            assert_eq!(norm.to_bits(), want_norm.to_bits(), "norm {norm} vs {want_norm}, {draw}");
+            assert!(norm > max_norm, "the gradients must be clipped");
+            let scale = max_norm / norm;
+            for (s, ((_, got), g)) in model.0.iter().zip(&grads).enumerate() {
+                let want: Vec<f32> = g.iter().map(|v| v * scale).collect();
+                assert_eq!(bits(got), bits(&want), "clipped gradients, slot {s}, draw {draw}");
+            }
+        }
     }
 
     #[test]

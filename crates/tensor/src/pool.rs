@@ -3,21 +3,24 @@
 //! Built on `std::thread::scope` only — the build environment has no
 //! crates.io access, so rayon is unavailable, and every crate forbids
 //! `unsafe`, so workers are spawned per dispatch rather than kept warm.
-//! Three properties drive the design:
+//! [`par_map_work`] is the one dispatcher: it runs coarse tasks (training
+//! shards, attention heads, batched prediction), and the `Matrix` kernels
+//! inside them are plain sequential loops. Three properties drive the
+//! design:
 //!
 //! 1. **Fixed shard boundaries.** Work is split by pure functions of the
-//!    problem size ([`shard_ranges`], [`reduce_shards`]), never of the
-//!    thread count, so every floating-point reduction has the same shape —
-//!    and therefore the same bits — whether it runs on 1 thread or 64.
-//! 2. **Single-thread fast path.** With one effective thread (or inside an
-//!    already-parallel region) no threads are spawned at all: the exact
-//!    sequential loop runs inline on the caller, so `NFM_THREADS=1` is a
-//!    plain, debuggable serial execution of the same arithmetic.
-//! 3. **No nesting.** Worker closures run with a thread-local flag set;
-//!    pool calls made from inside a worker degrade to the sequential path
-//!    instead of oversubscribing the machine. Data-level parallelism (batch
-//!    shards) therefore composes safely with kernel-level parallelism
-//!    (matmul row shards).
+//!    problem size ([`shard_ranges`]), never of the thread count, so every
+//!    floating-point reduction has the same shape — and therefore the same
+//!    bits — whether it runs on 1 thread or 64.
+//! 2. **Single-thread fast path.** With one effective thread, below the
+//!    work gate, or inside an already-parallel region no threads are
+//!    spawned at all: the tasks run inline on the caller in index order, so
+//!    `NFM_THREADS=1` is a plain, debuggable serial execution of the same
+//!    arithmetic.
+//! 3. **No nesting.** Worker closures run with a thread-local flag set; a
+//!    dispatch made from inside a worker runs inline instead of
+//!    oversubscribing the machine, so a task (a training shard, say) may
+//!    itself dispatch (its attention heads) safely.
 //!
 //! A dispatch over `n` workers spawns `n − 1` of them: the calling thread
 //! is the n-th, running the same loop under the same flag, which a drop
@@ -30,8 +33,8 @@
 //! falling back to [`std::thread::available_parallelism`]; tests override
 //! it in-process with [`set_threads`]. Whatever is requested, the count
 //! actually used to spawn workers is capped at the machine's hardware
-//! parallelism (see [`effective_threads`]) — oversubscribing compute-bound
-//! kernels only adds spawn overhead.
+//! parallelism — oversubscribing compute-bound tasks only adds spawn
+//! overhead.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -42,9 +45,10 @@ use std::time::{Duration, Instant};
 /// Hard cap on worker threads (a safety bound for absurd `NFM_THREADS`).
 pub const MAX_THREADS: usize = 64;
 
-/// Shard count used by order-sensitive reductions ([`reduce_shards`]).
-/// A constant — never derived from the thread count — so reduction trees
-/// are identical for every parallelism level.
+/// Shard count used by order-sensitive reductions ([`sum_sq`] and the
+/// training loops' gradient shards). A constant — never derived from the
+/// thread count — so reduction trees are identical for every parallelism
+/// level.
 pub const REDUCE_SHARDS: usize = 8;
 
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -89,14 +93,13 @@ fn hw_threads() -> usize {
 
 /// Worker count effective at this call site: 1 inside a pool worker (no
 /// nested spawning), otherwise [`num_threads`] capped at the machine's
-/// hardware parallelism. The cap matters for compute-bound kernels:
+/// hardware parallelism. The cap matters for compute-bound tasks:
 /// requesting `NFM_THREADS=4` on a 1-core host used to spawn four scoped
 /// threads that time-slice one core, paying full spawn overhead for zero
-/// speedup (the `matmul_96x256x256`/`pretrain_epoch` 4-thread bench
-/// regressions). Oversubscription never helps these kernels, and results
-/// are bitwise identical at every worker count, so capping is purely a
-/// performance decision.
-pub fn effective_threads() -> usize {
+/// speedup (the `pretrain_epoch` 4-thread bench regression).
+/// Oversubscription never helps, and results are bitwise identical at
+/// every worker count, so capping is purely a performance decision.
+fn effective_threads() -> usize {
     if IN_WORKER.with(Cell::get) {
         1
     } else {
@@ -210,10 +213,10 @@ where
 }
 
 /// Minimum total work (in flop-like units) before [`par_map_work`] spawns
-/// threads. Mirrors the matmul gate: workers are scoped OS threads
-/// (~tens of µs to spawn), so fanning out below roughly a million
-/// flop-like units of work costs more than it saves — the sequential path
-/// is strictly faster for small jobs like single-request inference.
+/// threads. Workers are scoped OS threads (~tens of µs to spawn), so
+/// fanning out below roughly a million flop-like units of work costs more
+/// than it saves — the sequential path is strictly faster for small jobs
+/// like single-request inference.
 pub const PAR_WORK_MIN: usize = 1 << 20;
 
 /// The order [`par_map_work`] deals tasks in: costliest first, ties by
@@ -259,95 +262,16 @@ where
     dispatch(threads, costs.len(), || costliest_first(costs), init, f)
 }
 
-/// Split `data` into chunks of `chunk_len` elements and run
-/// `f(element_offset, chunk)` over each, in parallel when worthwhile.
-/// Chunks are disjoint, so any per-element or per-chunk computation is
-/// deterministic regardless of thread count.
-pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let chunk_len = chunk_len.max(1);
-    let n_chunks = data.len().div_ceil(chunk_len);
-    let threads = effective_threads().min(n_chunks.max(1));
-    nfm_obs::counter!("pool.par_chunks.calls").inc();
-    if threads <= 1 {
-        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(i * chunk_len, chunk);
-        }
-        return;
-    }
-    // Strided assignment: worker w owns chunks w, w+threads, … — fixed
-    // chunk boundaries, so results never depend on the assignment. The
-    // calling thread is worker 0.
-    let mut per_worker: Vec<Vec<(usize, &mut [T])>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-        per_worker[i % threads].push((i * chunk_len, chunk));
-    }
-    let run = &|assigned: Vec<(usize, &mut [T])>| {
-        let _flag = WorkerFlag::set();
-        for (offset, chunk) in assigned {
-            f(offset, chunk);
-        }
-    };
-    let mut per_worker = per_worker.into_iter();
-    let mine = per_worker.next().expect("a spawning call has at least two workers");
-    std::thread::scope(|scope| {
-        for assigned in per_worker {
-            scope.spawn(move || run(assigned));
-        }
-        run(mine);
-    });
-}
-
-/// Deterministic parallel reduction: split `0..len` into [`REDUCE_SHARDS`]
-/// fixed shards, compute `partial(range)` per shard (in parallel once `len`
-/// clears [`par_map_work`]'s gate), then left-fold the partials **in shard
-/// order** with `combine`. Because the shard boundaries and fold order are
-/// pure functions of `len`, the result is bitwise identical for every
-/// thread count.
-pub fn reduce_shards<R, P, C>(len: usize, init: R, partial: P, combine: C) -> R
-where
-    R: Send,
-    P: Fn(Range<usize>) -> R + Sync,
-    C: Fn(R, R) -> R,
-{
-    let ranges = shard_ranges(len, REDUCE_SHARDS);
-    let costs: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-    let partials = par_map_work(&costs, || (), |_, i| partial(ranges[i].clone()));
-    partials.into_iter().fold(init, combine)
-}
-
-/// Chunk length for elementwise parallel ops over a `len`-element slice:
-/// the whole slice when parallelism isn't worthwhile (small input, single
-/// thread, already inside a worker), otherwise an even split across the
-/// effective workers. Chunk boundaries never affect elementwise results.
-///
-/// The gate reuses [`PAR_WORK_MIN`]: elementwise ops are ~one flop-like
-/// unit per element and memory-bound besides, so below a million elements
-/// the scoped-thread spawns (~tens of µs each) cost more than the whole
-/// sequential loop. The old 8192-element gate made every mid-sized tensor
-/// in the micro-batched serving path (e.g. 512×64 activations) spawn
-/// workers for microseconds of work, which is why 4-thread serving
-/// benchmarked *slower* than 1-thread.
-pub fn elem_chunk(len: usize) -> usize {
-    let threads = effective_threads();
-    if threads <= 1 || len < PAR_WORK_MIN {
-        len.max(1)
-    } else {
-        len.div_ceil(threads)
-    }
-}
-
-/// Fixed-shard sum of squares (the gradient-clipping hot loop). Each shard
-/// accumulates sequentially; shard partials fold in order, so the value is
-/// independent of the thread count.
+/// Fixed-shard sum of squares (the gradient-clipping hot loop): one
+/// sequential sum below 4096 elements, otherwise the sequential sums of
+/// the [`REDUCE_SHARDS`] fixed shards of `0..len`, folded in shard order.
+/// The value is a pure function of `xs`.
 pub fn sum_sq(xs: &[f32]) -> f32 {
+    let seq = |xs: &[f32]| xs.iter().map(|v| v * v).sum::<f32>();
     if xs.len() < 4096 {
-        return xs.iter().map(|v| v * v).sum();
+        return seq(xs);
     }
-    reduce_shards(xs.len(), 0.0f32, |r| xs[r].iter().map(|v| v * v).sum::<f32>(), |acc, p| acc + p)
+    shard_ranges(xs.len(), REDUCE_SHARDS).into_iter().fold(0.0, |acc, r| acc + seq(&xs[r]))
 }
 
 #[cfg(test)]
@@ -387,19 +311,6 @@ mod tests {
         let out = par_map_work(&[PAR_WORK_MIN; 100], || (), |_, i| i * 3);
         set_threads(0);
         assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_chunks_mut_touches_every_element_once() {
-        set_threads(3);
-        let mut data = vec![0u32; 1000];
-        par_chunks_mut(&mut data, 7, |offset, chunk| {
-            for (i, v) in chunk.iter_mut().enumerate() {
-                *v += (offset + i) as u32 + 1;
-            }
-        });
-        set_threads(0);
-        assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32 + 1));
     }
 
     #[test]
@@ -542,18 +453,11 @@ mod tests {
         if ran_on[0] != ran_on[1] {
             assert!(idle.count() > idle_before, "a spawning dispatch records its idle time");
         }
-
-        // par_chunks_mut gives the caller the first chunk.
-        set_threads(2);
-        let mut chunks = [None, None];
-        par_chunks_mut(&mut chunks, 1, |_, c| c[0] = Some(std::thread::current().id()));
-        set_threads(0);
-        assert_eq!(chunks[0], Some(caller), "the caller did not run chunk 0");
     }
 
     #[test]
     fn a_task_panicking_on_the_caller_leaves_effective_threads_as_it_was() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::panic::catch_unwind;
         let in_worker = || IN_WORKER.with(Cell::get);
         assert!(!in_worker());
         set_threads(2);
@@ -562,28 +466,10 @@ mod tests {
         let mapped = catch_unwind(|| {
             par_map_work(&[PAR_WORK_MIN; 2], || (), |_, _| -> usize { panic!("task fails") })
         });
-        let mut data = [0u8; 2];
-        let chunked = catch_unwind(AssertUnwindSafe(|| {
-            par_chunks_mut(&mut data, 1, |_, _| panic!("chunk fails"));
-        }));
         set_threads(0);
-        assert!(mapped.is_err() && chunked.is_err(), "the panics must propagate");
+        assert!(mapped.is_err(), "the panic must propagate");
         // effective_threads() reads 1 while the flag is set.
         assert!(!in_worker(), "a panicking task left the caller marked as a worker");
-    }
-
-    #[test]
-    fn reduce_shards_below_the_work_gate_stays_on_the_calling_thread() {
-        set_threads(4);
-        let caller = std::thread::current().id();
-        let on_caller = reduce_shards(
-            PAR_WORK_MIN - 1,
-            true,
-            |_| std::thread::current().id() == caller,
-            |acc, p| acc && p,
-        );
-        set_threads(0);
-        assert!(on_caller, "a partial below PAR_WORK_MIN ran on a worker thread");
     }
 
     #[test]
